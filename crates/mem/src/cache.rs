@@ -25,9 +25,9 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if the implied set count is not a positive power of two or if
-    /// `ways` is zero.
+    /// `ways` is zero or above 16.
     pub fn from_capacity(bytes: usize, ways: usize, latency: u64) -> Self {
-        assert!(ways > 0, "cache must have at least one way");
+        check_ways(ways);
         let lines = bytes / 64;
         assert!(
             lines.is_multiple_of(ways),
@@ -55,13 +55,23 @@ impl CacheConfig {
 /// physical addresses shifted right by 6, so they can never reach it.
 const NO_LINE: u64 = u64::MAX;
 
+/// Rejects set geometries a recency word cannot order.
+fn check_ways(ways: usize) {
+    assert!(ways > 0, "cache must have at least one way");
+    assert!(
+        ways <= scan::MAX_WAYS,
+        "cache sets hold at most {} ways, got {ways}",
+        scan::MAX_WAYS
+    );
+}
+
 /// A set-associative, LRU-replacement cache of line numbers.
 ///
-/// Tags and LRU stamps live in separate packed vectors
-/// (structure-of-arrays), so a set probe scans one contiguous run of
-/// tags. An empty way holds the [`NO_LINE`] tag and stamp 0; live stamps
-/// are always ≥ 1, so victim selection is a single min-stamp pass that
-/// prefers free ways in index order, then the LRU way.
+/// Tags live in one packed vector (structure-of-arrays), so a set probe
+/// scans one contiguous run of tags, and each set's LRU order is one
+/// packed recency word ([`scan::promote`]). An empty way holds the
+/// [`NO_LINE`] tag and always sits at the LRU end of its set's word, so
+/// a fill replaces the LRU way and evicts only when that way is live.
 ///
 /// # Examples
 ///
@@ -81,14 +91,12 @@ pub struct Cache {
     /// `sets - 1`; the constructor asserts a power-of-two set count.
     set_mask: usize,
     lines: Vec<u64>,
-    /// Monotonic timestamps for LRU ordering; smaller is older, 0 is empty.
-    stamps: Vec<u64>,
-    tick: u64,
+    /// One recency word per set, MRU way in the low nibble.
+    recency: Vec<u64>,
     /// Index of the most recently hit/filled way, as a one-entry memo.
     /// Sound without invalidation hooks: a line only ever resides in its
     /// own set, so `lines[last_idx] == key` proves `last_idx` is the live
-    /// way for `key`, and the memo path writes the same stamp the scan
-    /// would.
+    /// way for `key`; and that way is always its set's MRU.
     last_idx: usize,
 }
 
@@ -97,19 +105,19 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` is not a positive power of two or `ways` is zero.
+    /// Panics if `sets` is not a positive power of two or `ways` is zero
+    /// or above 16.
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(
             cfg.sets.is_power_of_two() && cfg.sets > 0,
             "sets must be a power of two"
         );
-        assert!(cfg.ways > 0, "ways must be positive");
+        check_ways(cfg.ways);
         Self {
             cfg,
             set_mask: cfg.sets - 1,
             lines: vec![NO_LINE; cfg.sets * cfg.ways],
-            stamps: vec![0; cfg.sets * cfg.ways],
-            tick: 0,
+            recency: vec![scan::init(cfg.ways); cfg.sets],
             last_idx: 0,
         }
     }
@@ -119,35 +127,68 @@ impl Cache {
         &self.cfg
     }
 
+    /// The set `key` maps to.
+    #[inline]
+    fn set_of(&self, key: u64) -> usize {
+        (key as usize) & self.set_mask
+    }
+
     #[inline]
     fn set_range(&self, line: CacheLine) -> std::ops::Range<usize> {
-        let start = ((line.raw() as usize) & self.set_mask) * self.cfg.ways;
+        let start = self.set_of(line.raw()) * self.cfg.ways;
         start..start + self.cfg.ways
+    }
+
+    /// Installs `key` over the LRU way of `set`, promoting it to MRU.
+    /// Returns the tag it replaced ([`NO_LINE`] if the way was empty).
+    #[inline(always)]
+    fn replace_lru(&mut self, set: usize, key: u64) -> u64 {
+        let word = self.recency[set];
+        let way = scan::lru(word, self.cfg.ways);
+        let idx = set * self.cfg.ways + way;
+        let old = std::mem::replace(&mut self.lines[idx], key);
+        self.recency[set] = scan::promote(word, way);
+        self.last_idx = idx;
+        old
+    }
+
+    /// Whether flat way `idx` is the MRU way of its set.
+    fn is_mru(&self, idx: usize) -> bool {
+        let (set, way) = (idx / self.cfg.ways, idx % self.cfg.ways);
+        scan::promote(self.recency[set], way) == self.recency[set]
+    }
+
+    /// Finds `key`, promoting its way to MRU; returns the set it maps
+    /// to and, on a hit, the way's flat index.
+    ///
+    /// The memo is checked first: instruction fetch probes the same line
+    /// for runs of consecutive instructions, so the previous hit's way
+    /// usually answers with a single compare. A memo hit needs no
+    /// promote, because every promote and fill moves the memo to the way
+    /// it makes MRU.
+    #[inline(always)]
+    fn find_promote(&mut self, key: u64) -> (usize, Option<usize>) {
+        debug_assert_ne!(key, NO_LINE);
+        let set = self.set_of(key);
+        let li = self.last_idx;
+        if self.lines[li] == key {
+            debug_assert!(self.is_mru(li), "memo way {li} is not MRU");
+            return (set, Some(li));
+        }
+        // One slice per probe: the branch-free kernel scans the set's
+        // contiguous tags as one or two vector compares.
+        let start = set * self.cfg.ways;
+        let Some(way) = scan::find_tag(&self.lines[start..start + self.cfg.ways], key) else {
+            return (set, None);
+        };
+        self.recency[set] = scan::promote(self.recency[set], way);
+        self.last_idx = start + way;
+        (set, Some(start + way))
     }
 
     /// Looks up `line`, promoting it to MRU on a hit. Returns whether it hit.
     pub fn probe(&mut self, line: CacheLine) -> bool {
-        self.tick += 1;
-        let key = line.raw();
-        debug_assert_ne!(key, NO_LINE);
-        // Fast path: instruction fetch probes the same line for runs of
-        // consecutive instructions, so the previous hit's way usually
-        // answers with a single compare.
-        let li = self.last_idx;
-        if self.lines[li] == key {
-            self.stamps[li] = self.tick;
-            return true;
-        }
-        let range = self.set_range(line);
-        // One slice per probe: the branch-free kernel scans the set's
-        // contiguous tags as one or two vector compares.
-        let start = range.start;
-        if let Some(w) = scan::find_tag(&self.lines[range], key) {
-            self.stamps[start + w] = self.tick;
-            self.last_idx = start + w;
-            return true;
-        }
-        false
+        self.find_promote(line.raw()).1.is_some()
     }
 
     /// Whether `line` is resident, without disturbing LRU state.
@@ -157,28 +198,11 @@ impl Cache {
     }
 
     /// Software-prefetches the tag array of the set `line` maps to — a
-    /// scheduling hint for batched probes; never required for
-    /// correctness.
+    /// scheduling hint for the fast-forward front end; never required
+    /// for correctness.
     #[inline]
     pub fn prefetch_set(&self, line: CacheLine) {
         scan::prefetch_tags(&self.lines[self.set_range(line)]);
-    }
-
-    /// Batched residency probe over up to [`scan::BATCH`] lines: bit `i`
-    /// of the result is set iff `lines[i]` is resident. Each scan
-    /// prefetches the following key's set; LRU state is untouched, so
-    /// the batch equals calling [`contains`](Self::contains) per key.
-    pub fn probe_batch(&self, batch: &[CacheLine]) -> u32 {
-        debug_assert!(batch.len() <= scan::BATCH);
-        let mut mask = 0u32;
-        for (i, &line) in batch.iter().enumerate() {
-            if let Some(&next) = batch.get(i + 1) {
-                self.prefetch_set(next);
-            }
-            let resident = scan::find_tag(&self.lines[self.set_range(line)], line.raw()).is_some();
-            mask |= (resident as u32) << i;
-        }
-        mask
     }
 
     /// Installs `line` as MRU, returning the evicted victim line, if any.
@@ -186,32 +210,13 @@ impl Cache {
     /// Filling a line that is already resident only refreshes its LRU
     /// position (no duplicate is created).
     pub fn fill(&mut self, line: CacheLine) -> Option<CacheLine> {
-        self.tick += 1;
-        let tick = self.tick;
         let key = line.raw();
-        debug_assert_ne!(key, NO_LINE);
-        let range = self.set_range(line);
-        let start = range.start;
-        let lines = &mut self.lines[range.clone()];
-        let stamps = &mut self.stamps[range];
-        // Refresh a resident line, else replace the min-stamp way: empty
-        // ways carry stamp 0 (below every live stamp ≥ 1) and ties pick
-        // the lowest index, so the min-stamp way is the first free way
-        // if one exists, the LRU way otherwise (pinned against the
-        // fused scalar scan by the kernel's tests).
-        let (way, hit) = scan::find_hit_or_victim(lines, stamps, key);
-        if hit {
-            stamps[way] = tick;
-            self.last_idx = start + way;
+        let (set, hit) = self.find_promote(key);
+        if hit.is_some() {
             return None;
         }
-        let victim = way;
-        let victim_stamp = stamps[victim];
-        let evicted = (victim_stamp != 0).then(|| CacheLine::new(lines[victim]));
-        lines[victim] = key;
-        stamps[victim] = tick;
-        self.last_idx = start + victim;
-        evicted
+        let old = self.replace_lru(set, key);
+        (old != NO_LINE).then(|| CacheLine::new(old))
     }
 
     /// Probes for `line`, promoting it to MRU on a hit; on a miss,
@@ -223,44 +228,33 @@ impl Cache {
     /// demand line of a skip stretch, where the halved scan cost is the
     /// difference between warming paying for itself and not.
     pub fn warm_fill(&mut self, line: CacheLine) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
         let key = line.raw();
-        debug_assert_ne!(key, NO_LINE);
-        let li = self.last_idx;
-        if self.lines[li] == key {
-            self.stamps[li] = tick;
-            return true;
+        let (set, hit) = self.find_promote(key);
+        if hit.is_none() {
+            self.replace_lru(set, key);
         }
-        let range = self.set_range(line);
-        let start = range.start;
-        let lines = &mut self.lines[range.clone()];
-        let stamps = &mut self.stamps[range];
-        let (way, hit) = scan::find_hit_or_victim(lines, stamps, key);
-        lines[way] = key;
-        stamps[way] = tick;
-        self.last_idx = start + way;
-        hit
+        hit.is_some()
     }
 
     /// Removes `line` if resident; returns whether it was present.
     pub fn invalidate(&mut self, line: CacheLine) -> bool {
         let key = line.raw();
+        let set = self.set_of(key);
         let range = self.set_range(line);
-        for i in range {
-            if self.lines[i] == key {
-                self.lines[i] = NO_LINE;
-                self.stamps[i] = 0;
-                return true;
+        match scan::find_tag(&self.lines[range], key) {
+            Some(way) => {
+                self.lines[set * self.cfg.ways + way] = NO_LINE;
+                self.recency[set] = scan::demote(self.recency[set], way, self.cfg.ways);
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Empties the cache.
     pub fn clear(&mut self) {
         self.lines.fill(NO_LINE);
-        self.stamps.fill(0);
+        self.recency.fill(scan::init(self.cfg.ways));
     }
 
     /// Number of currently valid lines.
@@ -364,23 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_batch_matches_contains() {
-        let mut c = Cache::new(CacheConfig {
-            sets: 4,
-            ways: 2,
-            latency: 1,
-        });
-        for i in 0..5u64 {
-            c.fill(CacheLine::new(i * 3));
-        }
-        let keys: Vec<CacheLine> = (0..8u64).map(CacheLine::new).collect();
-        let mask = c.probe_batch(&keys);
-        for (i, &line) in keys.iter().enumerate() {
-            assert_eq!(mask & (1 << i) != 0, c.contains(line), "key {i}");
-        }
-    }
-
-    #[test]
     fn from_capacity_math() {
         let cfg = CacheConfig::from_capacity(32 * 1024, 8, 4);
         assert_eq!(cfg.sets, 64);
@@ -392,6 +369,49 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn from_capacity_rejects_non_pow2() {
         let _ = CacheConfig::from_capacity(24 * 1024, 8, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 ways")]
+    fn from_capacity_rejects_seventeen_ways() {
+        let _ = CacheConfig::from_capacity(17 * 64 * 4, 17, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 ways")]
+    fn new_rejects_seventeen_ways() {
+        let _ = Cache::new(CacheConfig {
+            sets: 4,
+            ways: 17,
+            latency: 1,
+        });
+    }
+
+    #[test]
+    fn sixteen_way_sets_fill_then_evict_lru() {
+        let mut c = Cache::new(CacheConfig {
+            sets: 1,
+            ways: 16,
+            latency: 1,
+        });
+        for i in 0..16 {
+            assert_eq!(c.fill(CacheLine::new(i)), None);
+        }
+        assert!(c.probe(CacheLine::new(0)));
+        assert_eq!(c.fill(CacheLine::new(16)), Some(CacheLine::new(1)));
+        assert_eq!(c.occupancy(), 16);
+    }
+
+    #[test]
+    fn invalidated_way_is_refilled_before_any_eviction() {
+        let mut c = tiny();
+        c.fill(set0_line(1));
+        c.fill(set0_line(2));
+        assert!(c.invalidate(set0_line(2)));
+        // The freed way takes the next fill; line 1 (older) survives.
+        assert_eq!(c.fill(set0_line(3)), None);
+        assert!(c.contains(set0_line(1)));
+        assert_eq!(c.fill(set0_line(4)), Some(set0_line(1)));
     }
 
     #[test]

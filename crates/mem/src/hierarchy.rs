@@ -332,7 +332,7 @@ impl MemoryHierarchy {
     /// figure by +3–12 % — unrefreshed data lines age out under
     /// one-sided fill pressure. Full warming brings the worst per-figure
     /// deviation to ≈2.7 % and the SPEC figure to +0.03 %, at the cost
-    /// of roughly a third of the sampled run (the L2/LLC tag+stamp
+    /// of roughly a third of the sampled run (the L2/LLC tag
     /// arrays are host-cache-cold on every scan); EXPERIMENTS.md tracks
     /// the resulting sampled-speedup floor. The served/miss counters
     /// stay detail-window samples for the extrapolation layer, and the
@@ -351,8 +351,13 @@ impl MemoryHierarchy {
         if self.l2.warm_fill(line) {
             return;
         }
-        if !self.llc_probe(line) {
-            self.llc_fill(line);
+        match &mut self.llc_view {
+            Some(view) => {
+                if !view.probe(line) {
+                    view.fill(line);
+                }
+            }
+            None => self.llc.warm_fill(line),
         }
     }
 

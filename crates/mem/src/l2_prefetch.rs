@@ -8,7 +8,7 @@
 //! lookahead prefetch on a confident delta — without the full confidence
 //! path/throttling machinery, and document that simplification in DESIGN.md.
 
-use morrigan_types::CacheLine;
+use morrigan_types::{scan, CacheLine};
 use serde::{Deserialize, Serialize};
 
 const LINES_PER_PAGE: u64 = 64; // 4 KB page / 64 B line
@@ -20,7 +20,7 @@ const NO_PAGE: u64 = u64::MAX;
 /// Configuration of the L2 prefetcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct L2PrefetcherConfig {
-    /// Number of page trackers (fully associative, LRU by round-robin clock).
+    /// Number of page trackers (fully associative, LRU).
     pub trackers: usize,
     /// Maximum lookahead depth per trained access.
     pub degree: usize,
@@ -48,35 +48,73 @@ impl L2PrefetcherConfig {
     }
 }
 
+/// Trackers compared per step of the page match: a fixed-width chunk the
+/// compiler turns into straight-line vector compares.
+const CHUNK: usize = 8;
+
+/// First slot of `pages` holding `page`, scanned in fixed-size
+/// branch-free chunks that stop at the first chunk with a match.
+#[inline(always)]
+fn find_page(pages: &[u64], page: u64) -> Option<usize> {
+    let mut chunks = pages.chunks_exact(CHUNK);
+    for (c, chunk) in (&mut chunks).enumerate() {
+        if let Some(i) = scan::find_tag(chunk, page) {
+            return Some(c * CHUNK + i);
+        }
+    }
+    let base = pages.len() - chunks.remainder().len();
+    scan::find_tag(chunks.remainder(), page).map(|i| base + i)
+}
+
 /// SPP-style stride/signature prefetcher trained on L2 data accesses.
 ///
 /// Tracker state lives in parallel packed arrays (structure-of-arrays):
 /// `train` runs on every L2 data access, and the page-match scan over a
-/// contiguous `u64` run is what makes that affordable. An unused tracker
-/// holds the [`NO_PAGE`] page and LRU stamp 0; live stamps are ≥ 1, so
-/// victim selection is a single min-stamp pass preferring free slots in
-/// index order, then the least-recently-used page.
+/// contiguous `u64` run is what makes that affordable. LRU order is an
+/// intrusive doubly linked list over the slots (`prev`/`next`), so
+/// promotion and victim selection are O(1). An unused tracker holds the
+/// [`NO_PAGE`] page, and the list starts with the unused slots at its
+/// LRU end in index order (slot 0 is the tail), so the tail is the
+/// first free slot while one exists and the least-recently-used page
+/// afterwards.
 #[derive(Debug, Clone)]
 pub struct L2Prefetcher {
     cfg: L2PrefetcherConfig,
     pages: Vec<u64>,
-    lru: Vec<u64>,
     last_offset: Vec<u8>,
     last_delta: Vec<i8>,
-    tick: u64,
+    /// Neighbour toward the MRU end, per slot (unused at the head).
+    prev: Vec<u32>,
+    /// Neighbour toward the LRU end, per slot (unused at the tail).
+    next: Vec<u32>,
+    /// Most recently used slot.
+    head: u32,
+    /// Least recently used slot: the allocation victim.
+    tail: u32,
     issued: u64,
 }
 
 impl L2Prefetcher {
     /// Creates an idle prefetcher.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an enabled prefetcher has no trackers.
     pub fn new(cfg: L2PrefetcherConfig) -> Self {
+        assert!(
+            !cfg.enabled || cfg.trackers > 0,
+            "an enabled L2 prefetcher needs at least one tracker"
+        );
+        let n = cfg.trackers as u32;
         Self {
             cfg,
             pages: vec![NO_PAGE; cfg.trackers],
-            lru: vec![0; cfg.trackers],
             last_offset: vec![0; cfg.trackers],
             last_delta: vec![0; cfg.trackers],
-            tick: 0,
+            prev: (1..=n).collect(),
+            next: (0..n).map(|i| i.wrapping_sub(1)).collect(),
+            head: n.saturating_sub(1),
+            tail: 0,
             issued: 0,
         }
     }
@@ -84,6 +122,24 @@ impl L2Prefetcher {
     /// Number of prefetch lines issued so far.
     pub fn issued(&self) -> u64 {
         self.issued
+    }
+
+    /// Unlinks `slot` from the recency list and relinks it as the head.
+    #[inline(always)]
+    fn move_to_front(&mut self, slot: u32) {
+        if slot == self.head {
+            return;
+        }
+        let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
+        self.next[p as usize] = n;
+        if slot == self.tail {
+            self.tail = p;
+        } else {
+            self.prev[n as usize] = p;
+        }
+        self.next[slot as usize] = self.head;
+        self.prev[self.head as usize] = slot;
+        self.head = slot;
     }
 
     /// Trains on one L2 data access, appending the lines to prefetch to
@@ -97,33 +153,23 @@ impl L2Prefetcher {
         if !self.cfg.enabled {
             return;
         }
-        self.tick += 1;
         let page = line.raw() / LINES_PER_PAGE;
         let offset = line.raw() % LINES_PER_PAGE;
 
-        let slot = match self.pages.iter().position(|&p| p == page) {
+        let slot = match find_page(&self.pages, page) {
             Some(i) => i,
             None => {
-                // Free slots hold stamp 0, below every live stamp, and
-                // min-by returns the first minimum — the same "first free
-                // slot, else LRU" order as the per-tracker valid flag.
-                let mut victim = 0;
-                let mut victim_lru = self.lru[0];
-                for (i, &l) in self.lru.iter().enumerate() {
-                    if l < victim_lru {
-                        victim_lru = l;
-                        victim = i;
-                    }
-                }
+                let victim = self.tail;
+                self.move_to_front(victim);
+                let victim = victim as usize;
                 self.pages[victim] = page;
-                self.lru[victim] = self.tick;
                 self.last_offset[victim] = offset as u8;
                 self.last_delta[victim] = 0;
                 return;
             }
         };
 
-        self.lru[slot] = self.tick;
+        self.move_to_front(slot as u32);
         let delta = offset as i64 - self.last_offset[slot] as i64;
         let confident = delta != 0 && delta == self.last_delta[slot] as i64;
         self.last_delta[slot] = delta as i8;

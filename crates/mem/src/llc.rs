@@ -128,15 +128,20 @@ impl Llc {
         (shard, CacheLine::new(raw >> self.shard_bits))
     }
 
+    /// The bank owning `line`, exclusively borrowed, and the line's
+    /// shard-local key.
+    #[inline]
+    fn bank_mut(&mut self, line: CacheLine) -> (&mut Cache, CacheLine) {
+        let (shard, key) = self.split(line);
+        let bank = self.shards[shard].0.get_mut().expect("llc shard lock");
+        (bank, key)
+    }
+
     /// Looks up `line` in its owning shard, promoting on hit.
     #[inline]
     pub fn probe(&mut self, line: CacheLine) -> bool {
-        let (shard, key) = self.split(line);
-        self.shards[shard]
-            .0
-            .get_mut()
-            .expect("llc shard lock")
-            .probe(key)
+        let (bank, key) = self.bank_mut(line);
+        bank.probe(key)
     }
 
     /// Whether `line` is resident, without disturbing LRU state. Safe
@@ -151,38 +156,18 @@ impl Llc {
             .contains(key)
     }
 
-    /// Software-prefetches the tag array of the set `line` maps to in
-    /// its owning shard — a scheduling hint for batched probes.
-    #[inline]
-    pub fn prefetch_set(&self, line: CacheLine) {
-        let (shard, key) = self.split(line);
-        self.shards[shard]
-            .0
-            .read()
-            .expect("llc shard lock")
-            .prefetch_set(key);
-    }
-
-    /// Batched residency probe: bit `i` is set iff `batch[i]` is
-    /// resident in its owning shard. LRU state is untouched; equals
-    /// calling [`contains`](Self::contains) per key.
-    pub fn probe_batch(&self, batch: &[CacheLine]) -> u32 {
-        let mut mask = 0u32;
-        for (i, &line) in batch.iter().enumerate() {
-            mask |= (self.contains(line) as u32) << i;
-        }
-        mask
-    }
-
     /// Installs `line` as MRU in its owning shard.
     #[inline]
     pub fn fill(&mut self, line: CacheLine) {
-        let (shard, key) = self.split(line);
-        self.shards[shard]
-            .0
-            .get_mut()
-            .expect("llc shard lock")
-            .fill(key);
+        let (bank, key) = self.bank_mut(line);
+        bank.fill(key);
+    }
+
+    /// [`Cache::warm_fill`] in `line`'s owning shard.
+    #[inline]
+    pub(crate) fn warm_fill(&mut self, line: CacheLine) {
+        let (bank, key) = self.bank_mut(line);
+        bank.warm_fill(key);
     }
 
     /// Replays one epoch's buffered operations against shard `shard`,

@@ -17,9 +17,9 @@
 //! * [`audit`] — the stats-invariant audit vocabulary: [`AuditReport`]
 //!   accumulates conservation-law checks, [`CounterSet`] exposes a stats
 //!   struct's monotone counters for generic window-monotonicity checks.
-//! * [`scan`] — branch-free, autovectorizable tag-scan kernels shared by
-//!   every SoA set-associative structure (TLBs, PSCs, caches), pinned
-//!   byte-for-byte to the scalar scans they replace.
+//! * [`scan`] — the set-associative kernels shared by every SoA
+//!   structure (TLBs, PSCs, caches): a branch-free, autovectorizable tag
+//!   scan and the packed per-set recency word that orders LRU.
 //!
 //! # Examples
 //!

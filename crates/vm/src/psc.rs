@@ -77,18 +77,19 @@ impl PscHit {
 /// (≤ 2^43 after the span shift), so they can never reach it.
 const NO_TAG: u64 = u64::MAX;
 
-/// One PSC level, stored structure-of-arrays: packed tag and stamp
-/// vectors with a precomputed set mask. An empty way holds [`NO_TAG`] and
-/// stamp 0; live stamps are always ≥ 1, so a single min-stamp pass picks
-/// the first free way in index order, then the LRU way.
+/// One PSC level, stored structure-of-arrays: a packed tag vector with
+/// a precomputed set mask and one recency word per set. An empty way
+/// holds [`NO_TAG`] and always sits at the LRU end of its set's word, so
+/// a fill takes the first free way while the set has room, then the LRU
+/// way.
 #[derive(Debug, Clone)]
 struct PscLevel {
     ways_per_set: usize,
     /// `sets - 1`; the constructor asserts a power-of-two set count.
     set_mask: usize,
     tags: Vec<u64>,
-    stamps: Vec<u64>,
-    tick: u64,
+    /// One recency word per set, MRU way in the low nibble.
+    recency: Vec<u64>,
 }
 
 impl PscLevel {
@@ -96,6 +97,11 @@ impl PscLevel {
         assert!(
             ways_per_set > 0 && entries.is_multiple_of(ways_per_set),
             "entries must divide into ways"
+        );
+        assert!(
+            ways_per_set <= scan::MAX_WAYS,
+            "PSC sets hold at most {} ways, got {ways_per_set}",
+            scan::MAX_WAYS
         );
         let sets = entries / ways_per_set;
         assert!(
@@ -106,51 +112,41 @@ impl PscLevel {
             ways_per_set,
             set_mask: sets - 1,
             tags: vec![NO_TAG; entries],
-            stamps: vec![0; entries],
-            tick: 0,
+            recency: vec![scan::init(ways_per_set); sets],
         }
     }
 
-    fn range(&self, tag: u64) -> std::ops::Range<usize> {
-        let start = ((tag as usize) & self.set_mask) * self.ways_per_set;
-        start..start + self.ways_per_set
+    /// The set `tag` maps to and the way holding it, if resident.
+    fn find(&self, tag: u64) -> (usize, Option<usize>) {
+        let set = (tag as usize) & self.set_mask;
+        let start = set * self.ways_per_set;
+        let way = scan::find_tag(&self.tags[start..start + self.ways_per_set], tag);
+        (set, way)
     }
 
     fn lookup(&mut self, tag: u64) -> bool {
-        self.tick += 1;
         debug_assert_ne!(tag, NO_TAG);
-        let range = self.range(tag);
-        let start = range.start;
-        if let Some(w) = scan::find_tag(&self.tags[range], tag) {
-            self.stamps[start + w] = self.tick;
-            return true;
+        let (set, way) = self.find(tag);
+        if let Some(way) = way {
+            self.recency[set] = scan::promote(self.recency[set], way);
         }
-        false
+        way.is_some()
     }
 
     fn fill(&mut self, tag: u64) {
-        self.tick += 1;
-        let tick = self.tick;
         debug_assert_ne!(tag, NO_TAG);
-        let range = self.range(tag);
-        let tags = &mut self.tags[range.clone()];
-        let stamps = &mut self.stamps[range];
-        // Refresh on residency, otherwise overwrite the min-stamp way
-        // (first free way if one exists, LRU way otherwise) — the
-        // branch-free kernel is pinned to the fused scalar scan it
-        // replaced.
-        let (way, hit) = scan::find_hit_or_victim(tags, stamps, tag);
-        if hit {
-            stamps[way] = tick;
-            return;
-        }
-        tags[way] = tag;
-        stamps[way] = tick;
+        // Refresh on residency, otherwise overwrite the LRU way (an
+        // empty way whenever the set has one).
+        let (set, hit) = self.find(tag);
+        let word = self.recency[set];
+        let way = hit.unwrap_or_else(|| scan::lru(word, self.ways_per_set));
+        self.tags[set * self.ways_per_set + way] = tag;
+        self.recency[set] = scan::promote(word, way);
     }
 
     fn flush(&mut self) {
         self.tags.fill(NO_TAG);
-        self.stamps.fill(0);
+        self.recency.fill(scan::init(self.ways_per_set));
     }
 }
 
@@ -250,6 +246,95 @@ impl PagingStructureCaches {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A stamp-LRU reference level: an empty way holds stamp 0, live
+    /// stamps are ≥ 1, and a fill overwrites the first way holding the
+    /// minimum stamp.
+    struct RefLevel {
+        ways: usize,
+        sets: usize,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        tick: u64,
+    }
+
+    impl RefLevel {
+        fn new(entries: usize, ways: usize) -> Self {
+            Self {
+                ways,
+                sets: entries / ways,
+                tags: vec![NO_TAG; entries],
+                stamps: vec![0; entries],
+                tick: 0,
+            }
+        }
+
+        fn set(&self, tag: u64) -> std::ops::Range<usize> {
+            let start = (tag as usize % self.sets) * self.ways;
+            start..start + self.ways
+        }
+
+        fn lookup(&mut self, tag: u64) -> bool {
+            self.tick += 1;
+            let hit = self.set(tag).find(|&i| self.tags[i] == tag);
+            if let Some(i) = hit {
+                self.stamps[i] = self.tick;
+            }
+            hit.is_some()
+        }
+
+        fn fill(&mut self, tag: u64) {
+            self.tick += 1;
+            let i = match self.set(tag).find(|&i| self.tags[i] == tag) {
+                Some(i) => i,
+                None => self.set(tag).min_by_key(|&i| self.stamps[i]).unwrap(),
+            };
+            self.tags[i] = tag;
+            self.stamps[i] = self.tick;
+        }
+    }
+
+    /// The resident tags, order-free: the physical way may differ.
+    fn resident(tags: &[u64]) -> Vec<u64> {
+        let mut live: Vec<u64> = tags.iter().copied().filter(|&t| t != NO_TAG).collect();
+        live.sort_unstable();
+        live
+    }
+
+    proptest! {
+        /// Lookup, fill and flush agree with the stamp-LRU reference on
+        /// the Table 1 levels (2- and 4-entry fully associative, 32-entry
+        /// 4-way) and on 6-, 8-, 15- and 16-way sets: the same hits and
+        /// the same resident tags after every operation.
+        #[test]
+        fn level_matches_stamp_lru_reference(
+            ops in prop::collection::vec((0u8..32, 0u64..96), 1..300),
+        ) {
+            let shapes = [(2, 2), (4, 4), (32, 4), (12, 6), (16, 8), (30, 15), (16, 16)];
+            for (entries, ways) in shapes {
+                let mut new = PscLevel::new(entries, ways);
+                let mut old = RefLevel::new(entries, ways);
+                let span = 2 * entries as u64;
+                for &(op, raw) in &ops {
+                    let tag = raw % span;
+                    match op {
+                        0..=14 => prop_assert_eq!(new.lookup(tag), old.lookup(tag)),
+                        15..=30 => {
+                            new.fill(tag);
+                            old.fill(tag);
+                        }
+                        _ => {
+                            new.flush();
+                            old.tags.fill(NO_TAG);
+                            old.stamps.fill(0);
+                        }
+                    }
+                    prop_assert_eq!(resident(&new.tags), resident(&old.tags));
+                }
+            }
+        }
+    }
 
     #[test]
     fn cold_lookup_misses_everywhere() {
@@ -314,6 +399,21 @@ mod tests {
         let _ = psc.lookup(VirtPage::new(1)); // PD hit → 1
         let _ = psc.lookup(VirtPage::new(1 << 30)); // miss → 4
         assert!((psc.mean_remaining_refs() - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 ways")]
+    fn level_rejects_seventeen_ways() {
+        let _ = PscLevel::new(17, 17);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 ways")]
+    fn fully_associative_levels_are_capped_too() {
+        let _ = PagingStructureCaches::new(PscConfig {
+            pdp_entries: 32,
+            ..PscConfig::default()
+        });
     }
 
     #[test]

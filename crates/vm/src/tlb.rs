@@ -55,14 +55,14 @@ const NO_VPN: u64 = u64::MAX;
 
 /// A set-associative, LRU TLB.
 ///
-/// Entries are stored structure-of-arrays (tags, translations, stamps,
-/// class flags in separate packed vectors) so a set probe touches one
-/// cache line of tags instead of striding over five-field structs.
-/// Validity is encoded in the arrays themselves: an empty way holds the
-/// [`NO_VPN`] tag and stamp 0, and live stamps are always ≥ 1 (the tick
-/// pre-increments from 0), so the victim scan is a single min-stamp pass —
-/// free ways sort below every live way and ties resolve to the lowest
-/// index, reproducing the classic "first free way, else LRU" order.
+/// Entries are stored structure-of-arrays (tags, translations, class
+/// flags in separate packed vectors) so a set probe touches one cache
+/// line of tags instead of striding over multi-field structs, and each
+/// set's LRU order is one packed recency word ([`scan::promote`]).
+/// Validity is encoded in the tags: an empty way holds the [`NO_VPN`]
+/// tag and always sits at the LRU end of its set's word, so an insert
+/// replaces the LRU way and evicts only when that way is live — the
+/// classic "first free way, else LRU" policy.
 ///
 /// # Examples
 ///
@@ -83,17 +83,16 @@ pub struct Tlb {
     set_mask: usize,
     vpns: Vec<u64>,
     pfns: Vec<u64>,
-    stamps: Vec<u64>,
     /// Whether the entry translates an instruction page (for contention
     /// accounting: instruction entries evicting data entries and vice
     /// versa, §1).
     instr: Vec<bool>,
-    tick: u64,
+    /// One recency word per set, MRU way in the low nibble.
+    recency: Vec<u64>,
     /// Index of the most recently hit/inserted way, as a one-entry memo.
     /// Sound without invalidation hooks: a VPN only ever resides in its
     /// own set, so `vpns[last_idx] == key` proves `last_idx` is the live
-    /// way for `key`, and the memo path writes the same stamp the scan
-    /// would.
+    /// way for `key`; and that way is always its set's MRU.
     last_idx: usize,
     /// Valid instruction entries evicted by data fills (contention metric).
     pub instr_evicted_by_data: u64,
@@ -106,12 +105,18 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not divisible by `ways` or the set count is
-    /// not a power of two.
+    /// Panics if `entries` is not divisible by `ways`, the set count is
+    /// not a power of two, or `ways` is above 16.
     pub fn new(cfg: TlbConfig) -> Self {
         assert!(
             cfg.ways > 0 && cfg.entries.is_multiple_of(cfg.ways),
             "entries must divide into ways"
+        );
+        assert!(
+            cfg.ways <= scan::MAX_WAYS,
+            "TLB sets hold at most {} ways, got {}",
+            scan::MAX_WAYS,
+            cfg.ways
         );
         assert!(
             cfg.sets().is_power_of_two(),
@@ -122,9 +127,8 @@ impl Tlb {
             set_mask: cfg.sets() - 1,
             vpns: vec![NO_VPN; cfg.entries],
             pfns: vec![0; cfg.entries],
-            stamps: vec![0; cfg.entries],
             instr: vec![false; cfg.entries],
-            tick: 0,
+            recency: vec![scan::init(cfg.ways); cfg.sets()],
             last_idx: 0,
             instr_evicted_by_data: 0,
             data_evicted_by_instr: 0,
@@ -136,45 +140,64 @@ impl Tlb {
         &self.cfg
     }
 
+    /// The set `key` maps to.
+    #[inline]
+    fn set_of(&self, key: u64) -> usize {
+        (key as usize) & self.set_mask
+    }
+
     #[inline]
     fn set_range(&self, vpn: VirtPage) -> std::ops::Range<usize> {
-        let start = ((vpn.raw() as usize) & self.set_mask) * self.cfg.ways;
+        let start = self.set_of(vpn.raw()) * self.cfg.ways;
         start..start + self.cfg.ways
+    }
+
+    /// Whether flat way `idx` is the MRU way of its set.
+    fn is_mru(&self, idx: usize) -> bool {
+        let (set, way) = (idx / self.cfg.ways, idx % self.cfg.ways);
+        scan::promote(self.recency[set], way) == self.recency[set]
+    }
+
+    /// Finds `key`, promoting its way to MRU; returns the way's flat
+    /// index on a hit.
+    ///
+    /// The memo is checked first: instruction fetch looks up the same
+    /// page for long runs of consecutive instructions, so the previous
+    /// hit's way usually answers with a single compare. A memo hit needs
+    /// no promote, because every promote and insert moves the memo to
+    /// the way it makes MRU.
+    #[inline(always)]
+    fn find_promote(&mut self, key: u64) -> Option<usize> {
+        debug_assert_ne!(key, NO_VPN);
+        let li = self.last_idx;
+        if self.vpns[li] == key {
+            debug_assert!(self.is_mru(li), "memo way {li} is not MRU");
+            return Some(li);
+        }
+        // One slice per probe: the branch-free kernel scans the set's
+        // contiguous tags as one or two vector compares.
+        let set = self.set_of(key);
+        let start = set * self.cfg.ways;
+        let way = scan::find_tag(&self.vpns[start..start + self.cfg.ways], key)?;
+        self.recency[set] = scan::promote(self.recency[set], way);
+        self.last_idx = start + way;
+        Some(start + way)
     }
 
     /// Looks up `vpn`, promoting on hit; returns the translation.
     pub fn lookup(&mut self, vpn: VirtPage) -> Option<PhysPage> {
-        self.tick += 1;
-        let key = vpn.raw();
-        debug_assert_ne!(key, NO_VPN);
-        // Fast path: instruction fetch looks up the same page for long
-        // runs of consecutive instructions, so the previous hit's way
-        // usually answers with a single compare.
-        let li = self.last_idx;
-        if self.vpns[li] == key {
-            self.stamps[li] = self.tick;
-            return Some(PhysPage::new(self.pfns[li]));
-        }
-        let range = self.set_range(vpn);
-        // One slice per probe: the branch-free kernel scans the set's
-        // contiguous tags as one or two vector compares.
-        let start = range.start;
-        if let Some(w) = scan::find_tag(&self.vpns[range], key) {
-            self.stamps[start + w] = self.tick;
-            self.last_idx = start + w;
-            return Some(PhysPage::new(self.pfns[start + w]));
-        }
-        None
+        let idx = self.find_promote(vpn.raw())?;
+        Some(PhysPage::new(self.pfns[idx]))
     }
 
-    /// Applies the LRU-clock effect of `count` back-to-back hits on the
-    /// resident entry for `vpn` without performing the lookups: the
-    /// clock advances once per elided probe and the entry's stamp lands
-    /// on the final tick — bit-for-bit what `count` calls to
+    /// Applies the LRU effect of `count` back-to-back hits on the
+    /// resident entry for `vpn` without performing the lookups: repeated
+    /// hits on one entry leave it MRU after the first, so the whole run
+    /// is one promote — exactly what `count` calls to
     /// [`lookup`](Self::lookup) would leave behind, since a hit's only
-    /// side effects are the tick increment, the stamp refresh, and the
-    /// `last_idx` memo. The page-run stepping path uses this to settle
-    /// a whole same-page run after one real probe.
+    /// side effects are the promote and the `last_idx` memo. The
+    /// page-run stepping path uses this to settle a whole same-page run
+    /// after one real probe.
     ///
     /// # Panics
     ///
@@ -186,19 +209,8 @@ impl Tlb {
         if count == 0 {
             return;
         }
-        self.tick += count;
-        let key = vpn.raw();
-        let li = self.last_idx;
-        if self.vpns[li] == key {
-            self.stamps[li] = self.tick;
-            return;
-        }
-        let range = self.set_range(vpn);
-        let start = range.start;
-        let w = scan::find_tag(&self.vpns[range], key)
+        self.find_promote(vpn.raw())
             .expect("touch_repeat target must be resident (elision contract)");
-        self.stamps[start + w] = self.tick;
-        self.last_idx = start + w;
     }
 
     /// Whether `vpn` is resident, without disturbing LRU state.
@@ -251,63 +263,59 @@ impl Tlb {
     ///
     /// `instruction` tags the entry for cross-class contention accounting.
     pub fn insert(&mut self, vpn: VirtPage, pfn: PhysPage, instruction: bool) -> Option<VirtPage> {
-        self.tick += 1;
-        let tick = self.tick;
         let key = vpn.raw();
-        debug_assert_ne!(key, NO_VPN);
-        let range = self.set_range(vpn);
-        let start = range.start;
-        let vpns = &mut self.vpns[range.clone()];
-        let stamps = &mut self.stamps[range];
-        // Refresh a resident entry, else replace the min-stamp way.
-        // Empty ways carry stamp 0 while live stamps are ≥ 1, so a free
-        // way always wins and ties pick the lowest index — exactly the
-        // first-free-way-else-LRU order (pinned against the fused
-        // scalar scan by the kernel's tests).
-        let (way, hit) = scan::find_hit_or_victim(vpns, stamps, key);
-        if hit {
-            stamps[way] = tick;
-            self.pfns[start + way] = pfn.raw();
-            self.instr[start + way] = instruction;
-            self.last_idx = start + way;
+        // Refresh a resident entry, else replace the LRU way — an empty
+        // way whenever the set has one.
+        if let Some(idx) = self.find_promote(key) {
+            self.pfns[idx] = pfn.raw();
+            self.instr[idx] = instruction;
             return None;
         }
-        let victim = way;
-        let victim_stamp = stamps[victim];
-        let evicted = (victim_stamp != 0).then(|| {
-            if self.instr[start + victim] && !instruction {
+        let set = self.set_of(key);
+        let word = self.recency[set];
+        let way = scan::lru(word, self.cfg.ways);
+        let idx = set * self.cfg.ways + way;
+        let old = std::mem::replace(&mut self.vpns[idx], key);
+        let evicted = (old != NO_VPN).then(|| {
+            if self.instr[idx] && !instruction {
                 self.instr_evicted_by_data += 1;
-            } else if !self.instr[start + victim] && instruction {
+            } else if !self.instr[idx] && instruction {
                 self.data_evicted_by_instr += 1;
             }
-            VirtPage::new(vpns[victim])
+            VirtPage::new(old)
         });
-        vpns[victim] = key;
-        stamps[victim] = tick;
-        self.pfns[start + victim] = pfn.raw();
-        self.instr[start + victim] = instruction;
-        self.last_idx = start + victim;
+        self.recency[set] = scan::promote(word, way);
+        self.pfns[idx] = pfn.raw();
+        self.instr[idx] = instruction;
+        self.last_idx = idx;
         evicted
+    }
+
+    /// Empties way `idx` of `set`, moving it to the LRU end.
+    fn evict_way(&mut self, set: usize, idx: usize) {
+        self.vpns[idx] = NO_VPN;
+        let way = idx - set * self.cfg.ways;
+        self.recency[set] = scan::demote(self.recency[set], way, self.cfg.ways);
     }
 
     /// Removes a translation (TLB shootdown); returns whether it was present.
     pub fn invalidate(&mut self, vpn: VirtPage) -> bool {
         let key = vpn.raw();
-        let range = self.set_range(vpn);
-        for i in range {
-            if self.vpns[i] == key {
-                self.vpns[i] = NO_VPN;
-                self.stamps[i] = 0;
-                return true;
+        let set = self.set_of(key);
+        let start = set * self.cfg.ways;
+        match scan::find_tag(&self.vpns[start..start + self.cfg.ways], key) {
+            Some(way) => {
+                self.evict_way(set, start + way);
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Empties the TLB (context switch).
     pub fn flush(&mut self) {
         self.vpns.fill(NO_VPN);
-        self.stamps.fill(0);
+        self.recency.fill(scan::init(self.cfg.ways));
     }
 
     /// Number of valid entries.
@@ -324,10 +332,10 @@ impl Tlb {
     /// single-process run is the whole TLB.
     pub fn invalidate_asid(&mut self, asid: u16) -> usize {
         let mut dropped = 0;
-        for (v, s) in self.vpns.iter_mut().zip(self.stamps.iter_mut()) {
-            if *v != NO_VPN && VirtPage::new(*v).asid() == asid {
-                *v = NO_VPN;
-                *s = 0;
+        for idx in 0..self.vpns.len() {
+            let v = self.vpns[idx];
+            if v != NO_VPN && VirtPage::new(v).asid() == asid {
+                self.evict_way(idx / self.cfg.ways, idx);
                 dropped += 1;
             }
         }
@@ -505,8 +513,9 @@ mod tests {
     #[test]
     fn touch_repeat_equals_repeated_lookups() {
         // Drive two TLBs through the same history, one with real
-        // lookups, one eliding them via touch_repeat; every observable
-        // field must match, including the clock and the next eviction.
+        // lookups, one eliding them via touch_repeat; the whole state —
+        // tags, translations, classes, recency words, memo — must match,
+        // and so must the next eviction.
         let mut real = tiny();
         let mut elided = tiny();
         for t in [&mut real, &mut elided] {
@@ -519,8 +528,10 @@ mod tests {
             real.lookup(set0(1));
         }
         elided.touch_repeat(set0(1), 7);
-        assert_eq!(real.tick, elided.tick);
-        assert_eq!(real.stamps, elided.stamps);
+        assert_eq!(real.vpns, elided.vpns);
+        assert_eq!(real.pfns, elided.pfns);
+        assert_eq!(real.instr, elided.instr);
+        assert_eq!(real.recency, elided.recency);
         assert_eq!(real.last_idx, elided.last_idx);
         assert_eq!(
             real.insert(set0(3), pfn(3), true),
@@ -541,6 +552,57 @@ mod tests {
         let evicted = tlb.insert(set0(4), pfn(4), true);
         assert_eq!(evicted, Some(set0(2)));
         assert!(tlb.contains(set0(1)));
+    }
+
+    #[test]
+    fn touch_repeat_equals_repeated_lookups_after_other_traffic() {
+        // Same as above, but the elided run follows hits on other
+        // entries of the set, so the touched entry starts below MRU.
+        let mut real = tiny();
+        let mut elided = tiny();
+        for t in [&mut real, &mut elided] {
+            t.insert(set0(1), pfn(1), true);
+            t.insert(set0(2), pfn(2), false);
+            t.lookup(set0(1));
+            t.lookup(set0(2));
+        }
+        for _ in 0..3 {
+            real.lookup(set0(1));
+        }
+        elided.touch_repeat(set0(1), 3);
+        assert_eq!(real.vpns, elided.vpns);
+        assert_eq!(real.recency, elided.recency);
+        assert_eq!(real.last_idx, elided.last_idx);
+        assert_eq!(
+            real.insert(set0(3), pfn(3), true),
+            elided.insert(set0(3), pfn(3), true)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 ways")]
+    fn new_rejects_seventeen_ways() {
+        let _ = Tlb::new(TlbConfig {
+            entries: 34,
+            ways: 17,
+            latency: 1,
+        });
+    }
+
+    #[test]
+    fn fifteen_way_stlb_constructs_and_evicts_lru() {
+        // fig18's enlarged STLB: 1920 entries as 128 sets of 15 ways.
+        let mut tlb = Tlb::new(TlbConfig {
+            entries: 1920,
+            ways: 15,
+            latency: 8,
+        });
+        let vpn = |i: u64| VirtPage::new(i * 128);
+        for i in 0..15 {
+            assert_eq!(tlb.insert(vpn(i), pfn(i), true), None);
+        }
+        tlb.lookup(vpn(0));
+        assert_eq!(tlb.insert(vpn(15), pfn(15), true), Some(vpn(1)));
     }
 
     #[test]
