@@ -2,10 +2,11 @@
 //! fixture for the standing single-core equivalence test.
 //!
 //! The fixture pins the `cores=1, processes=1` configuration: RunRecord
-//! JSON plus the rendered audit report for one server, one SPEC, and one
-//! SMT spec at test scale. The committed copy was produced by the
-//! pre-multicore simulator; `tests/single_core_pin.rs` asserts the
-//! current build still reproduces it byte for byte.
+//! JSON plus the rendered audit report for every case of
+//! `morrigan_runner::single_core_pin_specs` (server, SPEC and SMT specs
+//! at test scale; full, sampled, context-switching and interval runs).
+//! `tests/single_core_pin.rs` asserts the current build still reproduces
+//! it byte for byte.
 //!
 //! Run with auditing forced on, from the workspace root:
 //!
