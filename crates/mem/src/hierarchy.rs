@@ -336,9 +336,9 @@ impl MemoryHierarchy {
     /// arrays are host-cache-cold on every scan); EXPERIMENTS.md tracks
     /// the resulting sampled-speedup floor. The served/miss counters
     /// stay detail-window samples for the extrapolation layer, and the
-    /// L2 prefetcher is neither trained nor credited. The fast-forward
-    /// paths honour `MORRIGAN_NO_FF_WARM=1` as an ablation switch that
-    /// reproduces the pre-warming sampled numbers.
+    /// L2 prefetcher is neither trained nor credited. Warming is always
+    /// on in the fast-forward: the pre-warming sampled numbers (about 2×
+    /// faster, with the frozen-cache bias) live on only in DESIGN.md §11.
     pub fn warm(&mut self, line: CacheLine, instruction_side: bool) {
         let l1_hit = if instruction_side {
             self.l1i.warm_fill(line)

@@ -259,26 +259,22 @@ mod tests {
     fn phase_profile_math() {
         let mut p = PhaseProfile::new();
         p.add(Phase::WorkloadGen, 2.0);
-        p.add(Phase::Walk, 1.0);
         p.add_total(5.0);
         assert_eq!(p.workload_gen(), 2.0);
         assert_eq!(p.simulate(), 3.0);
-        assert_eq!(p.other(), 2.0);
-        assert!(!p.fine());
 
         let mut q = PhaseProfile::new();
-        q.set_fine(true);
-        q.add(Phase::Lookup, 0.5);
+        q.add(Phase::WorkloadGen, 0.5);
+        q.add(Phase::TraceBuild, 0.25);
         q.add_total(1.0);
 
         let mut merged = PhaseProfile::new();
         merged.merge(&q);
-        assert!(merged.fine(), "merge into empty adopts fine-ness");
         merged.merge(&p);
-        assert!(!merged.fine(), "coarse-only run clears fine-ness");
         assert_eq!(merged.total(), 6.0);
-        assert_eq!(merged.seconds(Phase::Lookup), 0.5);
-        assert_eq!(merged.workload_gen(), 2.0);
+        assert_eq!(merged.workload_gen(), 2.5);
+        assert_eq!(merged.trace_build(), 0.25);
+        assert_eq!(merged.simulate(), 3.25);
     }
 
     #[test]
@@ -289,14 +285,13 @@ mod tests {
         p.add_total(6.0);
         assert_eq!(p.trace_build(), 1.0);
         assert_eq!(p.simulate(), 3.0);
-        assert_eq!(p.other(), 3.0);
     }
 
     #[test]
-    fn other_clamps_at_zero() {
+    fn simulate_clamps_at_zero() {
         let mut p = PhaseProfile::new();
-        p.add(Phase::Walk, 2.0);
+        p.add(Phase::WorkloadGen, 2.0);
         p.add_total(1.5);
-        assert_eq!(p.other(), 0.0);
+        assert_eq!(p.simulate(), 0.0);
     }
 }

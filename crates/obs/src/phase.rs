@@ -1,29 +1,18 @@
 //! Host-side phase profiling: where a simulation's *wall time* goes.
 //!
-//! PR 3 ended with a guess ("remaining cost is workload generation and
-//! host-memory-bound set indexing"); this module makes the split
-//! measurable. The contract keeps the bench gate honest:
-//!
-//! * the coarse split (workload-gen vs. everything else) is always on —
-//!   it is timed at `fill_block` refill granularity, two `Instant`
-//!   reads per 1024 instructions, far below measurement noise;
-//! * fine buckets (lookup/walk/cache/icache-prefetch, which would need
-//!   per-step timing) only tick when explicitly enabled via
-//!   `MORRIGAN_PROFILE=1` or `Simulator::set_phase_profiling(true)`.
+//! The split is coarse and always on: workload generation is timed at
+//! refill granularity (two `Instant` reads per 1024 instructions, far
+//! below measurement noise), trace materialization around the runner's
+//! stream build, and the total around the whole run; simulation is what
+//! remains. Nothing is timed per instruction. The cost of one operation
+//! of each modelled structure comes from the benchmark's per-layer
+//! ledger, which replays captured operand streams outside the run.
 
 /// Wall-time bucket a slice of host time is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Generating instructions (`fill_block` refills).
+    /// Generating instructions (stream-buffer refills).
     WorkloadGen,
-    /// TLB lookups that hit without a page walk.
-    Lookup,
-    /// Translations that went to the page walker (demand or prefetch).
-    Walk,
-    /// Cache-hierarchy accesses (I-fetch and data).
-    CacheAccess,
-    /// The I-cache prefetcher and its page-crossing translations.
-    IcachePrefetch,
     /// Materializing a packed workload trace (generation + packing),
     /// paid once per distinct workload when the runner's workload cache
     /// is on. Timed around `build_streams` in the runner's cached
@@ -34,24 +23,13 @@ pub enum Phase {
 
 impl Phase {
     /// All phases, in [`Self::index`] order.
-    pub const ALL: [Phase; 6] = [
-        Phase::WorkloadGen,
-        Phase::Lookup,
-        Phase::Walk,
-        Phase::CacheAccess,
-        Phase::IcachePrefetch,
-        Phase::TraceBuild,
-    ];
+    pub const ALL: [Phase; 2] = [Phase::WorkloadGen, Phase::TraceBuild];
 
     /// Dense index into [`PhaseProfile`]'s bucket array.
     pub fn index(self) -> usize {
         match self {
             Phase::WorkloadGen => 0,
-            Phase::Lookup => 1,
-            Phase::Walk => 2,
-            Phase::CacheAccess => 3,
-            Phase::IcachePrefetch => 4,
-            Phase::TraceBuild => 5,
+            Phase::TraceBuild => 1,
         }
     }
 
@@ -59,10 +37,6 @@ impl Phase {
     pub fn name(self) -> &'static str {
         match self {
             Phase::WorkloadGen => "workload_gen",
-            Phase::Lookup => "lookup",
-            Phase::Walk => "walk",
-            Phase::CacheAccess => "cache_access",
-            Phase::IcachePrefetch => "icache_prefetch",
             Phase::TraceBuild => "trace_build",
         }
     }
@@ -71,26 +45,14 @@ impl Phase {
 /// Accumulated wall seconds per phase for one or more runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseProfile {
-    buckets: [f64; 6],
+    buckets: [f64; 2],
     total: f64,
-    fine: bool,
 }
 
 impl PhaseProfile {
     /// An empty profile.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Whether the fine buckets (everything except workload-gen) were
-    /// actually timed; false means only the coarse split is meaningful.
-    pub fn fine(&self) -> bool {
-        self.fine
-    }
-
-    /// Marks the fine buckets as timed.
-    pub fn set_fine(&mut self, fine: bool) {
-        self.fine = fine;
     }
 
     /// Adds wall seconds to one bucket.
@@ -114,14 +76,6 @@ impl PhaseProfile {
         self.total
     }
 
-    /// Wall time not attributed to any bucket — retire bookkeeping,
-    /// ROB management, and everything else between the timed sites.
-    /// Clamped at zero because timer granularity can make the buckets
-    /// nominally overshoot a tiny total.
-    pub fn other(&self) -> f64 {
-        (self.total - self.buckets.iter().sum::<f64>()).max(0.0)
-    }
-
     /// Seconds spent generating workload instructions (live `fill_block`
     /// refills — cheap replay copies when the workload cache is on).
     pub fn workload_gen(&self) -> f64 {
@@ -140,19 +94,11 @@ impl PhaseProfile {
         (self.total - self.workload_gen() - self.trace_build()).max(0.0)
     }
 
-    /// Folds another profile into this one. `fine` survives only if
-    /// every merged profile timed its fine buckets (a merge into an
-    /// empty profile simply adopts the source's fine-ness).
+    /// Folds another profile into this one.
     pub fn merge(&mut self, other: &PhaseProfile) {
-        let was_empty = self.total == 0.0;
         for i in 0..self.buckets.len() {
             self.buckets[i] += other.buckets[i];
         }
         self.total += other.total;
-        self.fine = if was_empty {
-            other.fine
-        } else {
-            self.fine && other.fine
-        };
     }
 }

@@ -645,8 +645,9 @@ impl RunSpec {
     /// tenant streams go through the workload cache when one is given.
     ///
     /// The record's `phases` is the machine's own wall-attributed profile
-    /// (total = machine wall time, buckets = summed per-core fine phases;
-    /// see the machine's module docs), plus a [`Phase::TraceBuild`]
+    /// (total = machine wall time, workload-gen bucket = summed over the
+    /// per-core simulators; see the machine's module docs), plus a
+    /// [`Phase::TraceBuild`]
     /// bucket when tenant streams were materialized through the cache —
     /// so multi-core rows in the throughput bench report real
     /// `workload_gen` / `simulate` splits, not zeros.
@@ -746,10 +747,11 @@ pub struct RunRecord {
     /// rendering; the runner aggregates it for the throughput bench.
     pub phases: PhaseProfile,
     /// Page-run probe/elision counters (whole run, warmup included;
-    /// summed across cores for machine records). Host-side batching
+    /// summed across cores for machine records). Host-side stepping
     /// telemetry like `phases` — not part of the record's JSON rendering
-    /// (the batched and per-instruction paths must render byte-identical
-    /// records); the runner aggregates it for the throughput bench.
+    /// (records must be byte-identical at every delivery block size,
+    /// which changes the elision counts); the runner aggregates it for
+    /// the throughput bench.
     pub elision: ElisionCounters,
     /// Per-core results and shootdown accounting, present iff the spec's
     /// workload is [`WorkloadSpec::Multi`] (the record-level `metrics`

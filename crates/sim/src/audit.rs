@@ -333,15 +333,15 @@ pub fn audit_metrics(report: &mut AuditReport, m: &Metrics) {
     );
 }
 
-/// Fetch-side probe conservation for page-run batched stepping: every
+/// Fetch-side probe conservation for page-run stepping: every
 /// retired instruction either issued a real fetch-side translation probe
 /// or was counted as elided (same-line fetch, or a run-covered new-line
 /// fetch whose probe was skipped).
 ///
 /// This is a hard assert rather than an [`AuditReport`] check: the
 /// report's check count is part of the serialized record, so adding a
-/// law there would break byte-identity between the batched and
-/// per-instruction paths. The law guards the elision machinery itself
+/// law there would break byte-identity with records pinned before it.
+/// The law guards the elision machinery itself
 /// and must hold unconditionally.
 pub fn assert_probe_conservation(probes_issued: u64, probes_elided: u64, instructions: u64) {
     assert_eq!(

@@ -72,8 +72,7 @@ use crate::config::{SimConfig, SystemConfig, TopologyConfig};
 use crate::metrics::{IntervalSample, Metrics};
 use crate::sampling::SamplingConfig;
 use crate::simulator::{
-    audit_default, profile_default, scale_sampled_metrics, window_metrics, ElisionCounters,
-    Simulator, Snapshot,
+    audit_default, scale_sampled_metrics, window_metrics, ElisionCounters, Simulator, Snapshot,
 };
 
 /// Instructions a core executes per epoch. Small enough that
@@ -217,7 +216,6 @@ pub struct Machine {
     /// Mirrors the per-core schedules (each sim owns its own copy).
     sampling: Option<SamplingConfig>,
     phase: PhaseProfile,
-    profile_fine: bool,
 }
 
 impl std::fmt::Debug for Machine {
@@ -325,7 +323,6 @@ impl Machine {
             recording: false,
             sampling: None,
             phase: PhaseProfile::new(),
-            profile_fine: profile_default(),
         }
     }
 
@@ -391,7 +388,9 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics after the run has started, or if the interval sampler is
+    /// Panics after the run has started, on a schedule that
+    /// [`SamplingConfig::validate`] rejects (through each core's
+    /// [`Simulator::set_sampling`]), or if the interval sampler is
     /// enabled (the two are mutually exclusive).
     pub fn set_sampling(&mut self, sampling: Option<SamplingConfig>) {
         assert!(!self.ran, "sampling must be set before running");
@@ -403,16 +402,6 @@ impl Machine {
         self.sampling = sampling;
         for lane in &mut self.cores {
             lane.sim.set_sampling(sampling);
-        }
-    }
-
-    /// Forces fine phase profiling on or off for this run, overriding
-    /// the `MORRIGAN_PROFILE` default, on the machine and every core.
-    pub fn set_phase_profiling(&mut self, fine: bool) {
-        assert!(!self.ran, "phase profiling must be set before running");
-        self.profile_fine = fine;
-        for lane in &mut self.cores {
-            lane.sim.set_phase_profiling(fine);
         }
     }
 
@@ -594,7 +583,6 @@ impl Machine {
             self.phase.merge(lane.sim.phase_profile());
         }
         self.phase.add_total(run_start.elapsed().as_secs_f64());
-        self.phase.set_fine(self.profile_fine);
 
         if let Some(mut r) = report {
             for (i, lane) in self.cores.iter().enumerate() {
@@ -1159,7 +1147,6 @@ mod tests {
             p.workload_gen() > 0.0,
             "per-core workload-gen buckets must merge into the machine profile"
         );
-        assert!(!p.fine(), "fine buckets default off");
     }
 
     #[test]
@@ -1253,6 +1240,16 @@ mod tests {
         let mut m = machine(1, 1, TopologyConfig::default());
         m.set_interval(Some(5_000));
         m.set_sampling(Some(crate::SamplingConfig::default_schedule()));
+    }
+
+    #[test]
+    #[should_panic(expected = "must both be positive")]
+    fn machine_rejects_a_zero_detail_schedule() {
+        let mut m = machine(2, 1, TopologyConfig::default());
+        m.set_sampling(Some(crate::SamplingConfig {
+            detail: 0,
+            skip: 6_000,
+        }));
     }
 
     #[test]

@@ -72,6 +72,21 @@ impl SamplingConfig {
         self.detail as f64 / self.period() as f64
     }
 
+    /// Checks that the schedule can run: `detail` and `skip` must both be
+    /// positive. A zero period would divide by zero at the first step, a
+    /// zero `detail` would never measure a window (every cycle would be
+    /// charged at the initial CPI guess), and a zero `skip` is a full run
+    /// mislabelled as sampled.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.detail == 0 || self.skip == 0 {
+            return Err(format!(
+                "detail and skip must both be positive, got {}:{}",
+                self.detail, self.skip
+            ));
+        }
+        Ok(())
+    }
+
     /// Parses the `detail:skip` notation (both sides positive integers).
     pub fn parse(s: &str) -> Result<Self, String> {
         let (d, k) = s
@@ -83,12 +98,9 @@ impl SamplingConfig {
         let skip: u64 = k
             .parse()
             .map_err(|_| format!("skip must be a positive integer, got {k:?}"))?;
-        if detail == 0 || skip == 0 {
-            return Err(format!(
-                "detail and skip must both be positive, got {detail}:{skip}"
-            ));
-        }
-        Ok(Self { detail, skip })
+        let schedule = Self { detail, skip };
+        schedule.validate()?;
+        Ok(schedule)
     }
 
     /// Reads `MORRIGAN_SAMPLE` from the environment: unset or empty

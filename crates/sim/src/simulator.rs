@@ -12,7 +12,7 @@ use morrigan_types::{
     PAGE_SHIFT,
 };
 use morrigan_vm::{Mmu, MmuStats, PageTable, PbStats, WalkerStats};
-use morrigan_workloads::{scan_page_runs, InstructionStream, TraceInstruction};
+use morrigan_workloads::{InstructionStream, TraceInstruction};
 
 use crate::audit::{audit_metrics, audit_state};
 use crate::config::{IcachePrefetcherKind, SimConfig, SystemConfig};
@@ -57,58 +57,24 @@ const CPI_INIT: u64 = 1 << CPI_SHIFT;
 const CPI_MIN: u64 = CPI_INIT / 8;
 
 /// A refillable buffer over one workload stream: the simulator drains it
-/// an instruction at a time (or a page run at a time on the batched
-/// path) and refills it in [`FILL_BLOCK`] chunks.
+/// a page run at a time and refills it in [`FILL_BLOCK`] chunks.
 #[derive(Debug, Default)]
 struct StreamBuffer {
     buf: Vec<TraceInstruction>,
     cursor: usize,
     /// Page-run partition of `buf` (exclusive end positions in buffer
-    /// coordinates; see [`InstructionStream::fill_block_runs`]). Only
-    /// meaningful while `runs_valid` holds — the legacy per-instruction
-    /// refill leaves them stale.
+    /// coordinates; see [`InstructionStream::fill_block_runs`]).
     irun_ends: Vec<u32>,
     drun_ends: Vec<u32>,
     /// Positions into the run vectors of the first run ending after
-    /// `cursor`; advanced monotonically by the batched consumer.
+    /// `cursor`; advanced monotonically by the consumer.
     irun_pos: usize,
     drun_pos: usize,
-    runs_valid: bool,
-}
-
-impl StreamBuffer {
-    /// Makes the run partition cover `buf[cursor..]`, rescanning only if
-    /// the last refill came through the legacy (run-less) path — e.g. a
-    /// batched quantum following an interval-mode stretch.
-    fn ensure_runs(&mut self) {
-        if self.runs_valid {
-            return;
-        }
-        let (mut iruns, mut druns) = (
-            std::mem::take(&mut self.irun_ends),
-            std::mem::take(&mut self.drun_ends),
-        );
-        iruns.clear();
-        druns.clear();
-        scan_page_runs(&self.buf[self.cursor..], &mut iruns, &mut druns);
-        let base = self.cursor as u32;
-        for e in &mut iruns {
-            *e += base;
-        }
-        for e in &mut druns {
-            *e += base;
-        }
-        self.irun_ends = iruns;
-        self.drun_ends = druns;
-        self.irun_pos = 0;
-        self.drun_pos = 0;
-        self.runs_valid = true;
-    }
 }
 
 /// Page-run elision counters for one run (warmup included): how many
 /// fetch-side translation probes were actually issued vs elided, and how
-/// many run segments the batched stepping consumed. The fetch-side
+/// many run segments the stepping loop consumed. The fetch-side
 /// conservation law `probes_issued + probes_elided == instructions` is
 /// asserted at the end of every [`Simulator::run`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,9 +84,9 @@ pub struct ElisionCounters {
     /// Instructions that issued no fetch-side probe: same-line fetches
     /// plus new-line fetches covered by a page run's first probe.
     pub probes_elided: u64,
-    /// Page-run segments consumed by the batched stepping paths (zero
-    /// when the per-instruction fallback ran: SMT, fine profiling, or
-    /// `MORRIGAN_NO_PAGE_RUNS=1`).
+    /// Page-run segments consumed (each consume call ends at least one:
+    /// segments are clipped at window, context-switch, SMT-slice and
+    /// interval-epoch edges as well as at run ends).
     pub runs_consumed: u64,
 }
 
@@ -297,7 +263,7 @@ pub struct Simulator<R: Recorder = NullRecorder> {
     workloads: Vec<Box<dyn InstructionStream>>,
     /// One refillable instruction buffer per workload; SMT thread
     /// selection is deterministic in `retired`, so per-stream consumption
-    /// order is identical to instruction-at-a-time delivery.
+    /// order does not depend on how the buffers are refilled.
     stream_bufs: Vec<StreamBuffer>,
     fill_block: usize,
     threads: Vec<ThreadFrontEnd>,
@@ -312,7 +278,8 @@ pub struct Simulator<R: Recorder = NullRecorder> {
     rob_head: usize,
     rob_len: usize,
     /// SMT round-robin state mirroring `(retired / smt_block) % nthreads`
-    /// without the per-step division.
+    /// without a division: the current thread and what is left of its
+    /// slice.
     smt_thread: usize,
     smt_left: u64,
     /// Ring buffer of the last `retire_width` retire cycles, oldest at
@@ -390,10 +357,7 @@ pub struct Simulator<R: Recorder = NullRecorder> {
     /// a full run): the measured component of a sampled window's cycle
     /// reconstruction.
     detail_cycles: u64,
-    // --- page-run batched stepping ---
-    /// Whether the batched (run-segmented) stepping paths are allowed;
-    /// `MORRIGAN_NO_PAGE_RUNS=1` forces the per-instruction fallback.
-    page_runs: bool,
+    // --- page-run stepping ---
     /// Fetch-side probe/elision accounting (see [`ElisionCounters`]).
     probes_issued: u64,
     probes_elided: u64,
@@ -401,18 +365,14 @@ pub struct Simulator<R: Recorder = NullRecorder> {
     /// Last data line warmed by the fast-forward, as a one-entry dedupe
     /// memo: a repeat touch of a line that is already MRU in its set
     /// cannot change any LRU order, so consecutive same-line data
-    /// accesses warm once. Shared by both fast-forward paths (the access
-    /// sequences are identical, so the memo evolves identically and the
-    /// batched/legacy byte-identity holds) and cleared at every
+    /// accesses warm once. Shared by every thread and cleared at every
     /// detail-window fold and context switch, where intervening traffic
     /// could have demoted the memoized line.
     ff_warm_dline: Option<CacheLine>,
     // --- host-side phase profiling ---
-    /// Wall-time buckets. The coarse workload-gen split is always timed
-    /// (two `Instant` reads per `fill_block` refill, noise-level); the
-    /// fine per-step buckets only tick when `profile_fine` is set.
+    /// Wall-time buckets: the workload-gen split (two `Instant` reads per
+    /// refill, noise-level) and the run total.
     phase: PhaseProfile,
-    profile_fine: bool,
     // --- scratch ---
     line_scratch: Vec<LinePrefetch>,
 }
@@ -423,31 +383,6 @@ pub struct Simulator<R: Recorder = NullRecorder> {
 /// figure runs byte-identical to earlier revisions unless asked).
 pub(crate) fn audit_default() -> bool {
     cfg!(debug_assertions) || std::env::var("MORRIGAN_AUDIT").is_ok_and(|v| v == "1")
-}
-
-/// Default fine-phase profiling: only when `MORRIGAN_PROFILE=1` is
-/// exported (per-step timer reads are far from free; the bench gate
-/// requires them off by default).
-pub(crate) fn profile_default() -> bool {
-    std::env::var("MORRIGAN_PROFILE").is_ok_and(|v| v == "1")
-}
-
-/// Fast-forward cache warming enablement: on unless `MORRIGAN_NO_FF_WARM=1`
-/// is exported. The ablation switch reproduces the pre-warming sampled
-/// numbers (frozen caches across skip stretches) for error-attribution
-/// experiments; cached in a `OnceLock` because the check sits on the
-/// per-access fast-forward path.
-fn ff_warm_enabled() -> &'static bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    ON.get_or_init(|| !std::env::var("MORRIGAN_NO_FF_WARM").is_ok_and(|v| v == "1"))
-}
-
-/// Default page-run batching enablement: on unless `MORRIGAN_NO_PAGE_RUNS=1`
-/// is exported. The escape hatch exists for A/B verification (the batched
-/// and per-instruction paths must produce byte-identical records) and as
-/// a one-line mitigation if a workload ever trips an elision bug.
-pub(crate) fn page_runs_default() -> bool {
-    !std::env::var("MORRIGAN_NO_PAGE_RUNS").is_ok_and(|v| v == "1")
 }
 
 impl<R: Recorder> std::fmt::Debug for Simulator<R> {
@@ -583,13 +518,11 @@ impl<R: Recorder> Simulator<R> {
             detail_fe_misses: 0,
             in_detail_window: false,
             detail_cycles: 0,
-            page_runs: page_runs_default(),
             probes_issued: 0,
             probes_elided: 0,
             runs_consumed: 0,
             ff_warm_dline: None,
             phase: PhaseProfile::new(),
-            profile_fine: profile_default(),
             line_scratch: Vec::with_capacity(16),
         }
     }
@@ -628,10 +561,14 @@ impl<R: Recorder> Simulator<R> {
     ///
     /// # Panics
     ///
-    /// Panics after the run has started, or if the interval time-series
-    /// sampler is enabled (the two are mutually exclusive).
+    /// Panics after the run has started, on a schedule that
+    /// [`SamplingConfig::validate`] rejects, or if the interval
+    /// time-series sampler is enabled (the two are mutually exclusive).
     pub fn set_sampling(&mut self, sampling: Option<SamplingConfig>) {
         assert!(!self.ran, "sampling must be set before running");
+        if let Some(Err(e)) = sampling.map(|s| s.validate()) {
+            panic!("sampling schedule: {e}");
+        }
         assert!(
             sampling.is_none() || self.interval.is_none(),
             "interval time-series and sampled simulation are mutually exclusive: \
@@ -651,16 +588,8 @@ impl<R: Recorder> Simulator<R> {
         &self.intervals
     }
 
-    /// Forces fine phase profiling on or off for this run, overriding
-    /// the `MORRIGAN_PROFILE` default. Must precede [`Simulator::run`].
-    pub fn set_phase_profiling(&mut self, fine: bool) {
-        assert!(!self.ran, "phase profiling must be set before running");
-        self.profile_fine = fine;
-    }
-
-    /// Host wall-time split of the completed run. The workload-gen
-    /// bucket and the total are always populated; the remaining buckets
-    /// only when fine profiling was on (see [`PhaseProfile::fine`]).
+    /// Host wall-time split of the completed run: the workload-gen bucket
+    /// and the total.
     pub fn phase_profile(&self) -> &PhaseProfile {
         &self.phase
     }
@@ -674,9 +603,10 @@ impl<R: Recorder> Simulator<R> {
     /// Overrides the instruction-delivery block size (default 1024).
     ///
     /// Block size is timing-invisible — streams are pure generators — so
-    /// this exists for the batching-equivalence tests, which pin that a
-    /// block size of 1 (one `fill_block` call per instruction) produces
-    /// byte-identical results.
+    /// this exists for the page-run equivalence tests. A block size of 1
+    /// makes every consume take one instruction and start unprobed, so no
+    /// probe can be elided: the per-instruction reference behaviour,
+    /// through the same stepping body.
     ///
     /// # Panics
     ///
@@ -695,14 +625,6 @@ impl<R: Recorder> Simulator<R> {
             probes_elided: self.probes_elided,
             runs_consumed: self.runs_consumed,
         }
-    }
-
-    /// Forces page-run batched stepping on or off, overriding the
-    /// `MORRIGAN_NO_PAGE_RUNS` default (equivalence tests drive both
-    /// paths in one process).
-    pub fn set_page_runs(&mut self, enabled: bool) {
-        assert!(!self.ran, "page-run mode must be set before running");
-        self.page_runs = enabled;
     }
 
     /// The audit report of the completed run, when auditing was enabled.
@@ -840,20 +762,18 @@ impl<R: Recorder> Simulator<R> {
                 }
             }
             Some(interval) => {
-                // Chunked measurement: identical step sequence, plus one
-                // snapshot per epoch boundary. Epoch metrics are pure
-                // snapshot differences, so they telescope: summing them
-                // reproduces the window metrics exactly (the sampler test
-                // pins this). Stays per-instruction deliberately — a
-                // conservative run break at every sampler epoch edge, per
-                // the page-run design — since interval runs are rare
-                // diagnostics.
+                // Chunked measurement: the same segments, cut at every
+                // epoch edge, plus one snapshot per edge. Epoch metrics
+                // are pure snapshot differences, so they telescope:
+                // summing them reproduces the window metrics exactly (the
+                // sampler test pins this).
                 let mut done = 0u64;
                 let mut epoch_start = start;
                 while done < cfg.measure_instructions {
                     let chunk = interval.min(cfg.measure_instructions - done);
-                    for _ in 0..chunk {
-                        self.step();
+                    let mut left = chunk;
+                    while left > 0 {
+                        left -= self.step_auto_block(left);
                     }
                     let epoch_end = self.snapshot();
                     self.intervals.push(IntervalSample {
@@ -884,7 +804,6 @@ impl<R: Recorder> Simulator<R> {
         }
 
         self.phase.add_total(run_start.elapsed().as_secs_f64());
-        self.phase.set_fine(self.profile_fine);
 
         if let Some(mut r) = report {
             audit_state(&mut r, "end of window", &self.mmu, &self.mem);
@@ -958,21 +877,7 @@ impl<R: Recorder> Simulator<R> {
         }
     }
 
-    /// Executes one instruction through the interval model.
-    ///
-    /// Dispatches once on the fine-profiling flag so the un-profiled
-    /// instantiation (`PROF = false`) compiles every per-site timer read
-    /// and branch away — the same zero-cost discipline as the recorder.
-    #[inline]
-    pub(crate) fn step(&mut self) {
-        if self.profile_fine {
-            self.step_impl::<true>();
-        } else {
-            self.step_impl::<false>();
-        }
-    }
-
-    /// The context-switch reset shared by every stepping path: ASID bump
+    /// The context-switch reset at a segment entry: ASID bump
     /// in the MMU, I-cache-prefetcher flush, fetch-line invalidation, and
     /// translation-memo hygiene.
     fn context_switch_reset(&mut self) {
@@ -985,190 +890,6 @@ impl<R: Recorder> Simulator<R> {
         }
         self.xlat_memo.fill((NO_VPN, NO_PFN));
         self.ff_warm_dline = None;
-    }
-
-    fn step_impl<const PROF: bool>(&mut self) {
-        if let Some(interval) = self.system.context_switch_interval {
-            if self.retired > 0 && self.retired.is_multiple_of(interval) {
-                self.context_switch_reset();
-            }
-        }
-        let nthreads = self.workloads.len();
-        let thread_idx = if nthreads == 1 {
-            0
-        } else {
-            // Incremental `(retired / smt_block) % nthreads`: consume one
-            // slot of the current block per retirement.
-            if self.smt_left == 0 {
-                self.smt_thread += 1;
-                if self.smt_thread == nthreads {
-                    self.smt_thread = 0;
-                }
-                self.smt_left = self.system.core.smt_block;
-            }
-            self.smt_left -= 1;
-            self.smt_thread
-        };
-        let instr = {
-            let buf = &mut self.stream_bufs[thread_idx];
-            if buf.cursor == buf.buf.len() {
-                buf.buf.clear();
-                // Workload-gen wall time is always measured: two timer
-                // reads per `fill_block` refill is noise at block 1024.
-                let gen_start = Instant::now();
-                self.workloads[thread_idx].fill_block(&mut buf.buf, self.fill_block);
-                self.phase
-                    .add(Phase::WorkloadGen, gen_start.elapsed().as_secs_f64());
-                buf.cursor = 0;
-                buf.runs_valid = false;
-            }
-            let instr = buf.buf[buf.cursor];
-            buf.cursor += 1;
-            instr
-        };
-        let thread = ThreadId(thread_idx as u8);
-        let core = self.system.core;
-
-        // --- ROB admission: stall fetch while the ROB is full. ---
-        while self.rob_len >= core.rob_size {
-            let head = self.rob_ring[self.rob_head];
-            self.rob_head += 1;
-            if self.rob_head == core.rob_size {
-                self.rob_head = 0;
-            }
-            self.rob_len -= 1;
-            if head > self.fetch_cycle {
-                self.fetch_cycle = head;
-                self.fetched_this_cycle = 0;
-            }
-        }
-
-        // --- Front end ---
-        let vline = instr.pc.raw() >> 6;
-        let new_line = self.threads[thread_idx].cur_vline != Some(vline);
-        if new_line {
-            self.threads[thread_idx].cur_vline = Some(vline);
-            self.probes_issued += 1;
-
-            // Translation: charge everything beyond the 1-cycle I-TLB hit.
-            let t0 = PROF.then(Instant::now);
-            let tr = self
-                .mmu
-                .translate_instr(instr.pc, thread, self.fetch_cycle, &mut self.mem);
-            if let Some(t0) = t0 {
-                let bucket = if tr.stlb_miss {
-                    Phase::Walk
-                } else {
-                    Phase::Lookup
-                };
-                self.phase.add(bucket, t0.elapsed().as_secs_f64());
-            }
-            let tr_stall = tr.latency.saturating_sub(self.system.mmu.itlb.latency);
-            self.istlb_stall_cycles += tr_stall;
-
-            // I-cache access at the physical line.
-            let pline =
-                CacheLine::new(tr.pfn.raw() << (PAGE_SHIFT - 6) | (instr.pc.page_offset() >> 6));
-            let t0 = PROF.then(Instant::now);
-            let ic = self.mem.access(pline, AccessClass::IFetch);
-            if let Some(t0) = t0 {
-                self.phase
-                    .add(Phase::CacheAccess, t0.elapsed().as_secs_f64());
-            }
-            let ic_stall = ic.latency.saturating_sub(self.system.mem.l1i.latency);
-            self.icache_stall_cycles += ic_stall;
-            // Host-side hint only: straight-line fetch almost always
-            // probes `pline + 1` next, so pull that set's SoA tags into
-            // the host cache now. No architectural effect.
-            self.mem.prefetch_next_ifetch_set(pline);
-
-            let bubble = tr_stall + ic_stall;
-            if bubble > 0 {
-                self.fetch_cycle += bubble;
-                self.fetched_this_cycle = 0;
-            }
-
-            // Engage the I-cache prefetcher on the demand fetch.
-            if self.icache_pref.is_some() {
-                let t0 = PROF.then(Instant::now);
-                self.run_icache_prefetcher(vline);
-                if let Some(t0) = t0 {
-                    self.phase
-                        .add(Phase::IcachePrefetch, t0.elapsed().as_secs_f64());
-                }
-            }
-        } else {
-            self.probes_elided += 1;
-        }
-
-        // Fetch-width accounting.
-        self.fetched_this_cycle += 1;
-        if self.fetched_this_cycle >= core.fetch_width {
-            self.fetch_cycle += 1;
-            self.fetched_this_cycle = 0;
-        }
-
-        // --- Back end ---
-        let mut complete = self.fetch_cycle + core.pipeline_depth;
-        if let Some(mem_access) = instr.mem {
-            let t0 = PROF.then(Instant::now);
-            let tr =
-                self.mmu
-                    .translate_data(mem_access.addr, thread, self.fetch_cycle, &mut self.mem);
-            if let Some(t0) = t0 {
-                let bucket = if tr.stlb_miss {
-                    Phase::Walk
-                } else {
-                    Phase::Lookup
-                };
-                self.phase.add(bucket, t0.elapsed().as_secs_f64());
-            }
-            let pline = CacheLine::new(
-                tr.pfn.raw() << (PAGE_SHIFT - 6) | (mem_access.addr.page_offset() >> 6),
-            );
-            let t0 = PROF.then(Instant::now);
-            let dc = self.mem.access(pline, AccessClass::Data);
-            if let Some(t0) = t0 {
-                self.phase
-                    .add(Phase::CacheAccess, t0.elapsed().as_secs_f64());
-            }
-            // Latency beyond the pipelined L1 hit path inflates only this
-            // instruction's completion time (overlapped by the ROB).
-            complete += tr.latency.saturating_sub(self.system.mmu.dtlb.latency)
-                + dc.latency.saturating_sub(self.system.mem.l1d.latency);
-        }
-
-        // In-order retirement at `retire_width` per cycle: the ring holds
-        // the last `retire_width` retire cycles, and a full ring gates
-        // this retirement behind its oldest entry + 1.
-        let mut retire = complete.max(self.last_retire);
-        let width = core.retire_width as usize;
-        if self.retire_len >= width {
-            let gate = self.retire_ring[self.retire_head];
-            retire = retire.max(gate + 1);
-            self.retire_ring[self.retire_head] = retire;
-            self.retire_head += 1;
-            if self.retire_head == width {
-                self.retire_head = 0;
-            }
-        } else {
-            let mut slot = self.retire_head + self.retire_len;
-            if slot >= width {
-                slot -= width;
-            }
-            self.retire_ring[slot] = retire;
-            self.retire_len += 1;
-        }
-        let mut slot = self.rob_head + self.rob_len;
-        if slot >= core.rob_size {
-            slot -= core.rob_size;
-        }
-        self.rob_ring[slot] = retire;
-        self.rob_len += 1;
-        self.detail_cycles += retire - self.last_retire;
-        self.last_retire = retire;
-        self.retired += 1;
-        self.detailed += 1;
     }
 
     /// Drops the warmup-era contributions from the pooled CPI estimator
@@ -1185,32 +906,6 @@ impl<R: Recorder> Simulator<R> {
         self.reg_miss_sum = 0;
         self.reg_miss2_sum = 0;
         self.reg_misscyc_sum = 0;
-    }
-
-    /// Executes one instruction under the active schedule: the detailed
-    /// model in full runs and inside detail windows, the functional
-    /// fast-forward between them. The schedule is anchored at absolute
-    /// retirement count zero (period position = `retired % period`), so
-    /// every run starts with a detail window and the multi-core machine
-    /// can drive each core's schedule from its own retirement counter.
-    #[inline]
-    pub(crate) fn step_auto(&mut self) {
-        let Some(s) = self.sampling else {
-            self.step();
-            return;
-        };
-        let pos = self.retired % s.period();
-        if pos == 0 {
-            self.open_detail_window();
-        }
-        if pos < s.detail {
-            self.step();
-        } else {
-            if pos == s.detail {
-                self.fold_detail_window();
-            }
-            self.ff_step();
-        }
     }
 
     /// Skip→detail transition (and run start): mark the window open. The
@@ -1255,112 +950,143 @@ impl<R: Recorder> Simulator<R> {
     }
 
     /// Executes up to `max` instructions (at least one) under the active
-    /// schedule through the page-run batched paths, returning how many
-    /// retired. Callers drive it as `left -= step_auto_block(left)`.
+    /// schedule, returning how many retired. Every run loop — warmup,
+    /// measurement, interval epochs, the machine's quanta — drives it as
+    /// `left -= step_auto_block(left)`.
     ///
-    /// Falls back to one [`step_auto`] per call when batching is
-    /// unavailable: SMT colocation (the per-`smt_block` thread rotation
-    /// interleaves streams below run granularity), fine phase profiling
-    /// (the batched body has no per-site timers), or an explicit
-    /// `MORRIGAN_NO_PAGE_RUNS=1` / [`set_page_runs`] opt-out.
-    ///
-    /// Batched blocks never cross a schedule edge: detail blocks are
-    /// clipped to the detail window, fast-forward blocks to the period
-    /// end, and both paths clip to the next context-switch boundary — so
-    /// every window open/fold and every context switch fires at exactly
-    /// the retirement count the per-instruction path would, and the two
-    /// paths stay byte-identical.
-    ///
-    /// [`step_auto`]: Simulator::step_auto
-    /// [`set_page_runs`]: Simulator::set_page_runs
+    /// Each call runs one *segment*: a span with no edge inside it.
+    /// Detail segments end at the detail window's end and fast-forward
+    /// segments at the schedule period's end (the schedule is anchored
+    /// at absolute retirement count zero, so every run starts with a
+    /// detail window and each machine core drives its own schedule from
+    /// its own counter); every segment also ends at the next
+    /// context-switch boundary and, under SMT colocation, at the end of
+    /// the current thread's `smt_block` slice. So every window open and
+    /// fold, context switch, and thread rotation happens at a segment
+    /// entry, at exactly the retirement count of the instruction it
+    /// precedes.
     pub(crate) fn step_auto_block(&mut self, max: u64) -> u64 {
         debug_assert!(max > 0, "step_auto_block needs a positive budget");
-        if !self.page_runs || self.workloads.len() != 1 || self.profile_fine {
-            self.step_auto();
-            return 1;
-        }
-        let Some(s) = self.sampling else {
-            return self.detail_block(max);
-        };
-        let pos = self.retired % s.period();
-        if pos == 0 {
-            self.open_detail_window();
-        }
-        if pos < s.detail {
-            self.detail_block(max.min(s.detail - pos))
-        } else {
-            if pos == s.detail {
-                self.fold_detail_window();
+        let mut n = max;
+        let mut detail = true;
+        if let Some(s) = self.sampling {
+            let pos = self.retired % s.period();
+            if pos == 0 {
+                self.open_detail_window();
             }
-            self.ff_block(max.min(s.period() - pos))
+            if pos < s.detail {
+                n = n.min(s.detail - pos);
+            } else {
+                if pos == s.detail {
+                    self.fold_detail_window();
+                }
+                n = n.min(s.period() - pos);
+                detail = false;
+            }
         }
-    }
-
-    /// Refills `buf` through the run-indexed bulk path (replay streams
-    /// with a persisted index skip the rescan entirely).
-    fn refill_runs(&mut self, buf: &mut StreamBuffer) {
-        buf.buf.clear();
-        let gen_start = Instant::now();
-        self.workloads[0].fill_block_runs(
-            &mut buf.buf,
-            &mut buf.irun_ends,
-            &mut buf.drun_ends,
-            self.fill_block,
-        );
-        self.phase
-            .add(Phase::WorkloadGen, gen_start.elapsed().as_secs_f64());
-        buf.cursor = 0;
-        buf.irun_pos = 0;
-        buf.drun_pos = 0;
-        buf.runs_valid = true;
-    }
-
-    /// Runs up to `max` instructions through the detailed model in
-    /// run-segmented batches. Single-workload only (the dispatcher
-    /// guarantees it).
-    fn detail_block(&mut self, max: u64) -> u64 {
-        let mut budget = max;
         if let Some(interval) = self.system.context_switch_interval {
-            if self.retired > 0 && self.retired.is_multiple_of(interval) {
+            let phase = self.retired % interval;
+            if self.retired > 0 && phase == 0 {
                 self.context_switch_reset();
             }
-            // Clip so the next switch boundary lands on a block entry.
-            budget = budget.min(interval - self.retired % interval);
+            n = n.min(interval - phase);
         }
-        let mut buf = std::mem::take(&mut self.stream_bufs[0]);
-        let mut done = 0u64;
-        while done < budget {
-            if buf.cursor == buf.buf.len() {
-                self.refill_runs(&mut buf);
-            } else {
-                buf.ensure_runs();
+        let nthreads = self.workloads.len();
+        let t = if nthreads == 1 {
+            0
+        } else {
+            // Round-robin `(retired / smt_block) % nthreads`, one slice
+            // at a time.
+            if self.smt_left == 0 {
+                self.smt_thread = (self.smt_thread + 1) % nthreads;
+                self.smt_left = self.system.core.smt_block;
             }
-            let take = ((budget - done) as usize).min(buf.buf.len() - buf.cursor);
-            self.detail_consume(&mut buf, take);
-            done += take as u64;
+            n = n.min(self.smt_left);
+            self.smt_left -= n;
+            self.smt_thread
+        };
+        if detail {
+            self.run_block::<true>(t, n);
+        } else {
+            self.run_block::<false>(t, n);
         }
-        self.stream_bufs[0] = buf;
-        done
+        n
     }
 
-    /// Consumes `take` buffered instructions through the detailed model,
-    /// one page-run segment at a time.
+    /// Runs `n` instructions of thread `t` through [`Simulator::consume`],
+    /// refilling the thread's stream buffer — with its page-run
+    /// partition — as it drains. Fast-forward refills also pre-screen
+    /// the new block's leading pages ([`Simulator::warm_block`]).
+    fn run_block<const DETAIL: bool>(&mut self, t: usize, n: u64) {
+        let mut buf = std::mem::take(&mut self.stream_bufs[t]);
+        let mut left = n;
+        while left > 0 {
+            if buf.cursor == buf.buf.len() {
+                buf.buf.clear();
+                // Workload-gen wall time is always measured: two timer
+                // reads per refill is noise at block 1024.
+                let gen_start = Instant::now();
+                self.workloads[t].fill_block_runs(
+                    &mut buf.buf,
+                    &mut buf.irun_ends,
+                    &mut buf.drun_ends,
+                    self.fill_block,
+                );
+                self.phase
+                    .add(Phase::WorkloadGen, gen_start.elapsed().as_secs_f64());
+                buf.cursor = 0;
+                buf.irun_pos = 0;
+                buf.drun_pos = 0;
+                if !DETAIL {
+                    Self::warm_block(&self.mmu, &buf.buf);
+                }
+            }
+            let take = left.min((buf.buf.len() - buf.cursor) as u64);
+            self.consume::<DETAIL>(t, &mut buf, take as usize);
+            left -= take;
+        }
+        self.stream_bufs[t] = buf;
+    }
+
+    /// Consumes `take` buffered instructions of thread `t`, one page-run
+    /// segment at a time: through the detailed timing model when
+    /// `DETAIL`, functionally otherwise.
     ///
-    /// Identical to `take` consecutive [`Simulator::step`] calls, by the
-    /// elision argument (DESIGN.md §14): within an i-run every new-line
-    /// fetch after the segment's first real `translate_instr` is a
-    /// guaranteed iTLB hit — the page was made resident by that probe and
-    /// nothing inside the run can evict it (the iTLB is only written by
-    /// `translate_instr`, and a context switch can only land on a block
-    /// entry) — and a hit's entire effect is one stats bump plus an LRU
-    /// touch, reproduced in bulk by `note_elided_instr_hits` before the
-    /// next real probe. Same-page data accesses within a d-run elide
-    /// `translate_data` symmetrically. Everything timing-visible (ROB,
-    /// fetch width, I-cache and D-cache accesses, the I-cache prefetcher,
-    /// retirement) still runs per instruction.
-    fn detail_consume(&mut self, buf: &mut StreamBuffer, take: usize) {
+    /// **Elision** (DESIGN.md §14). Within an i-run, every new-line fetch
+    /// after the segment's first real `translate_instr` is a guaranteed
+    /// iTLB hit: that probe made the page resident, and nothing inside
+    /// one call can evict it (the iTLB is only written by
+    /// `translate_instr`, and context switches and SMT rotations land on
+    /// call entries). A hit's entire effect is one stats bump plus an
+    /// LRU touch, which `note_elided_instr_hits` reproduces in bulk
+    /// before the next real probe. Same-page data accesses within a
+    /// d-run elide `translate_data` symmetrically. Every call starts
+    /// unprobed, so a one-instruction call issues every probe its
+    /// instruction needs.
+    ///
+    /// **Detail arm.** ROB admission, fetch width, the I-cache access and
+    /// prefetcher, the D-cache access, and in-order retirement run per
+    /// instruction.
+    ///
+    /// **Fast-forward arm.** Every translation still runs through the
+    /// same MMU code (TLB/PSC fills, walks — whose references reach the
+    /// caches — PB activity and prefetcher training), so the headline
+    /// iSTLB counters stay measured, but latencies are discarded and the
+    /// ROB/retire model, the I-cache prefetcher, and the cache
+    /// statistics are skipped. Each demand line — I-fetch per line
+    /// transition, data per access through a one-line dedupe memo —
+    /// functionally warms the cache hierarchy ([`MemoryHierarchy::warm`];
+    /// DESIGN.md §11 has why it is full-depth and symmetric). Simulated
+    /// time advances by the pooled detail CPI in fixed point: the j-th
+    /// instruction of the call sees `fc0 + ((acc0 + j·cpi_fp) >>
+    /// CPI_SHIFT)`, exact because the accumulator residue stays below
+    /// `1 << CPI_SHIFT`. The clock is only materialized for the real MMU
+    /// calls; one bulk settle at the end moves `fetch_cycle`, `cpi_acc`
+    /// and `last_retire` to where per-instruction advances would have
+    /// left them.
+    fn consume<const DETAIL: bool>(&mut self, t: usize, buf: &mut StreamBuffer, take: usize) {
         let core = self.system.core;
-        let thread = ThreadId(0);
+        let thread = ThreadId(t as u8);
         let start = buf.cursor;
         let end = start + take;
         // Catch the run cursors up to the buffer cursor (a previous
@@ -1372,12 +1098,16 @@ impl<R: Recorder> Simulator<R> {
             buf.drun_pos += 1;
         }
 
-        let mut cur_vline = self.threads[0].cur_vline;
+        let (fc0, acc0, fp) = (self.fetch_cycle, self.cpi_acc, self.cpi_fp);
+        debug_assert!(acc0 < 1 << CPI_SHIFT, "accumulator residue invariant");
+        let clock = move |j: usize| fc0 + ((acc0 + j as u64 * fp) >> CPI_SHIFT);
+
+        let mut cur_vline = self.threads[t].cur_vline;
         let issued0 = self.probes_issued;
 
         // Current i-run segment: the first new-line fetch issues a real
         // probe (a hit when the segment continues an already-resident
-        // page — exactly what the per-instruction path would issue) and
+        // page — exactly what a per-instruction probe would be) and
         // caches the segment's PFN; later new lines elide.
         let mut iseg_pfn = PhysPage::new(0);
         let mut iseg_vpn = 0u64;
@@ -1400,17 +1130,19 @@ impl<R: Recorder> Simulator<R> {
             while i < seg_end {
                 let instr = buf.buf[i];
 
-                // --- ROB admission: stall fetch while the ROB is full. ---
-                while self.rob_len >= core.rob_size {
-                    let head = self.rob_ring[self.rob_head];
-                    self.rob_head += 1;
-                    if self.rob_head == core.rob_size {
-                        self.rob_head = 0;
-                    }
-                    self.rob_len -= 1;
-                    if head > self.fetch_cycle {
-                        self.fetch_cycle = head;
-                        self.fetched_this_cycle = 0;
+                if DETAIL {
+                    // ROB admission: stall fetch while the ROB is full.
+                    while self.rob_len >= core.rob_size {
+                        let head = self.rob_ring[self.rob_head];
+                        self.rob_head += 1;
+                        if self.rob_head == core.rob_size {
+                            self.rob_head = 0;
+                        }
+                        self.rob_len -= 1;
+                        if head > self.fetch_cycle {
+                            self.fetch_cycle = head;
+                            self.fetched_this_cycle = 0;
+                        }
                     }
                 }
 
@@ -1418,52 +1150,65 @@ impl<R: Recorder> Simulator<R> {
                 let vline = instr.pc.raw() >> 6;
                 if cur_vline != Some(vline) {
                     cur_vline = Some(vline);
-                    let tr_stall;
+                    // Translation: charge everything beyond the 1-cycle
+                    // I-TLB hit (an elided probe is such a hit).
+                    let mut tr_stall = 0;
                     if iseg_probed {
                         elided_i += 1;
-                        tr_stall = 0;
                     } else {
                         self.probes_issued += 1;
-                        let tr = self.mmu.translate_instr(
-                            instr.pc,
-                            thread,
-                            self.fetch_cycle,
-                            &mut self.mem,
-                        );
+                        let now = if DETAIL {
+                            self.fetch_cycle
+                        } else {
+                            clock(i - start)
+                        };
+                        let tr = self
+                            .mmu
+                            .translate_instr(instr.pc, thread, now, &mut self.mem);
                         tr_stall = tr.latency.saturating_sub(self.system.mmu.itlb.latency);
                         iseg_pfn = tr.pfn;
                         iseg_vpn = instr.pc.raw() >> PAGE_SHIFT;
                         iseg_probed = true;
                     }
-                    self.istlb_stall_cycles += tr_stall;
-
+                    // Elided transitions share the segment's page, so the
+                    // cached PFN yields the line a probe would have.
                     let pline = CacheLine::new(
                         iseg_pfn.raw() << (PAGE_SHIFT - 6) | (instr.pc.page_offset() >> 6),
                     );
-                    let ic = self.mem.access(pline, AccessClass::IFetch);
-                    let ic_stall = ic.latency.saturating_sub(self.system.mem.l1i.latency);
-                    self.icache_stall_cycles += ic_stall;
-                    self.mem.prefetch_next_ifetch_set(pline);
-
-                    let bubble = tr_stall + ic_stall;
-                    if bubble > 0 {
-                        self.fetch_cycle += bubble;
-                        self.fetched_this_cycle = 0;
-                    }
-                    if self.icache_pref.is_some() {
-                        self.run_icache_prefetcher(vline);
+                    if DETAIL {
+                        self.istlb_stall_cycles += tr_stall;
+                        let ic = self.mem.access(pline, AccessClass::IFetch);
+                        let ic_stall = ic.latency.saturating_sub(self.system.mem.l1i.latency);
+                        self.icache_stall_cycles += ic_stall;
+                        // Host-side hint only: straight-line fetch almost
+                        // always probes `pline + 1` next, so pull that
+                        // set's SoA tags into the host cache now.
+                        self.mem.prefetch_next_ifetch_set(pline);
+                        let bubble = tr_stall + ic_stall;
+                        if bubble > 0 {
+                            self.fetch_cycle += bubble;
+                            self.fetched_this_cycle = 0;
+                        }
+                        if self.icache_pref.is_some() {
+                            self.run_icache_prefetcher(vline);
+                        }
+                    } else {
+                        self.mem.warm(pline, true);
                     }
                 }
 
-                // Fetch-width accounting.
-                self.fetched_this_cycle += 1;
-                if self.fetched_this_cycle >= core.fetch_width {
-                    self.fetch_cycle += 1;
-                    self.fetched_this_cycle = 0;
+                let mut complete = 0;
+                if DETAIL {
+                    // Fetch-width accounting.
+                    self.fetched_this_cycle += 1;
+                    if self.fetched_this_cycle >= core.fetch_width {
+                        self.fetch_cycle += 1;
+                        self.fetched_this_cycle = 0;
+                    }
+                    complete = self.fetch_cycle + core.pipeline_depth;
                 }
 
                 // --- Back end ---
-                let mut complete = self.fetch_cycle + core.pipeline_depth;
                 if let Some(mem_access) = instr.mem {
                     if i >= dnext {
                         // Crossed into a new d-run: settle the old one
@@ -1479,59 +1224,71 @@ impl<R: Recorder> Simulator<R> {
                         }
                         dnext = buf.drun_ends[buf.drun_pos] as usize;
                     }
-                    let tr_extra;
-                    let pfn;
+                    let mut tr_extra = 0;
                     if dseg_probed {
                         pending_d += 1;
-                        tr_extra = 0;
-                        pfn = dseg_pfn;
                     } else {
-                        let tr = self.mmu.translate_data(
-                            mem_access.addr,
-                            thread,
-                            self.fetch_cycle,
-                            &mut self.mem,
-                        );
+                        let now = if DETAIL {
+                            self.fetch_cycle
+                        } else {
+                            clock(i - start)
+                        };
+                        let tr =
+                            self.mmu
+                                .translate_data(mem_access.addr, thread, now, &mut self.mem);
                         tr_extra = tr.latency.saturating_sub(self.system.mmu.dtlb.latency);
                         dseg_pfn = tr.pfn;
                         dseg_vpn = mem_access.addr.raw() >> PAGE_SHIFT;
                         dseg_probed = true;
-                        pfn = tr.pfn;
                     }
                     let pline = CacheLine::new(
-                        pfn.raw() << (PAGE_SHIFT - 6) | (mem_access.addr.page_offset() >> 6),
+                        dseg_pfn.raw() << (PAGE_SHIFT - 6) | (mem_access.addr.page_offset() >> 6),
                     );
-                    let dc = self.mem.access(pline, AccessClass::Data);
-                    complete += tr_extra + dc.latency.saturating_sub(self.system.mem.l1d.latency);
+                    if DETAIL {
+                        // Latency beyond the pipelined L1 hit path inflates
+                        // only this instruction's completion time
+                        // (overlapped by the ROB).
+                        let dc = self.mem.access(pline, AccessClass::Data);
+                        complete +=
+                            tr_extra + dc.latency.saturating_sub(self.system.mem.l1d.latency);
+                    } else if self.ff_warm_dline != Some(pline) {
+                        self.ff_warm_dline = Some(pline);
+                        self.mem.warm(pline, false);
+                    }
                 }
 
-                // In-order retirement (see `step_impl`).
-                let mut retire = complete.max(self.last_retire);
-                let width = core.retire_width as usize;
-                if self.retire_len >= width {
-                    let gate = self.retire_ring[self.retire_head];
-                    retire = retire.max(gate + 1);
-                    self.retire_ring[self.retire_head] = retire;
-                    self.retire_head += 1;
-                    if self.retire_head == width {
-                        self.retire_head = 0;
+                if DETAIL {
+                    // In-order retirement at `retire_width` per cycle: the
+                    // ring holds the last `retire_width` retire cycles,
+                    // and a full ring gates this retirement behind its
+                    // oldest entry + 1.
+                    let mut retire = complete.max(self.last_retire);
+                    let width = core.retire_width as usize;
+                    if self.retire_len >= width {
+                        let gate = self.retire_ring[self.retire_head];
+                        retire = retire.max(gate + 1);
+                        self.retire_ring[self.retire_head] = retire;
+                        self.retire_head += 1;
+                        if self.retire_head == width {
+                            self.retire_head = 0;
+                        }
+                    } else {
+                        let mut slot = self.retire_head + self.retire_len;
+                        if slot >= width {
+                            slot -= width;
+                        }
+                        self.retire_ring[slot] = retire;
+                        self.retire_len += 1;
                     }
-                } else {
-                    let mut slot = self.retire_head + self.retire_len;
-                    if slot >= width {
-                        slot -= width;
+                    let mut slot = self.rob_head + self.rob_len;
+                    if slot >= core.rob_size {
+                        slot -= core.rob_size;
                     }
-                    self.retire_ring[slot] = retire;
-                    self.retire_len += 1;
+                    self.rob_ring[slot] = retire;
+                    self.rob_len += 1;
+                    self.detail_cycles += retire - self.last_retire;
+                    self.last_retire = retire;
                 }
-                let mut slot = self.rob_head + self.rob_len;
-                if slot >= core.rob_size {
-                    slot -= core.rob_size;
-                }
-                self.rob_ring[slot] = retire;
-                self.rob_len += 1;
-                self.detail_cycles += retire - self.last_retire;
-                self.last_retire = retire;
                 i += 1;
             }
 
@@ -1555,306 +1312,28 @@ impl<R: Recorder> Simulator<R> {
             self.mmu
                 .note_elided_data_hits(VirtPage::new(dseg_vpn), pending_d);
         }
-        self.threads[0].cur_vline = cur_vline;
+        self.threads[t].cur_vline = cur_vline;
         buf.cursor = end;
         self.probes_elided += take as u64 - (self.probes_issued - issued0);
         self.retired += take as u64;
-        self.detailed += take as u64;
-    }
-
-    /// Runs up to `max` instructions through the functional fast-forward
-    /// in run-segmented batches (the batched counterpart of
-    /// [`Simulator::ff_step`], with the same context-switch clipping as
-    /// [`Simulator::detail_block`]).
-    fn ff_block(&mut self, max: u64) -> u64 {
-        let mut budget = max;
-        if let Some(interval) = self.system.context_switch_interval {
-            if self.retired > 0 && self.retired.is_multiple_of(interval) {
-                self.context_switch_reset();
-            }
-            budget = budget.min(interval - self.retired % interval);
-        }
-        let mut buf = std::mem::take(&mut self.stream_bufs[0]);
-        let mut done = 0u64;
-        while done < budget {
-            if buf.cursor == buf.buf.len() {
-                self.refill_runs(&mut buf);
-                Self::warm_block(&self.mmu, &buf.buf);
-            } else {
-                buf.ensure_runs();
-            }
-            let take = ((budget - done) as usize).min(buf.buf.len() - buf.cursor);
-            self.ff_consume(&mut buf, take);
-            done += take as u64;
-        }
-        self.stream_bufs[0] = buf;
-        done
-    }
-
-    /// Consumes `take` buffered instructions functionally, one page-run
-    /// segment at a time — the same elision argument as
-    /// [`Simulator::detail_consume`] (TLB hits observe nothing
-    /// time-dependent, so deferring their LRU touches is invisible),
-    /// plus a reconstructed clock: `ff_step` advances the fixed-point
-    /// accumulator *after* its translations, so the j-th instruction of
-    /// the batch sees `fc0 + ((acc0 + j·cpi_fp) >> CPI_SHIFT)` — exact,
-    /// because the accumulator residue is always below `1 << CPI_SHIFT`,
-    /// making the carved whole-cycle total a pure function of j. The
-    /// clock is only materialized for the real MMU calls; one bulk settle
-    /// at the end restores `fetch_cycle`/`cpi_acc`/`last_retire` to the
-    /// per-step values.
-    fn ff_consume(&mut self, buf: &mut StreamBuffer, take: usize) {
-        let thread = ThreadId(0);
-        let start = buf.cursor;
-        let end = start + take;
-        while buf.irun_ends[buf.irun_pos] as usize <= start {
-            buf.irun_pos += 1;
-        }
-        while buf.drun_ends[buf.drun_pos] as usize <= start {
-            buf.drun_pos += 1;
-        }
-
-        let fc0 = self.fetch_cycle;
-        let acc0 = self.cpi_acc;
-        let fp = self.cpi_fp;
-        debug_assert!(acc0 < 1 << CPI_SHIFT, "accumulator residue invariant");
-        let clock = |j: usize| fc0 + ((acc0 + j as u64 * fp) >> CPI_SHIFT);
-
-        let mut cur_vline = self.threads[0].cur_vline;
-        let issued0 = self.probes_issued;
-
-        let mut iseg_vpn = 0u64;
-        let mut iseg_pfn = 0u64;
-        let mut iseg_probed = false;
-        let mut elided_i = 0u64;
-        let mut inext = (buf.irun_ends[buf.irun_pos] as usize).min(end);
-
-        let mut dseg_vpn = 0u64;
-        let mut dseg_pfn = 0u64;
-        let mut dseg_probed = false;
-        let mut pending_d = 0u64;
-        let mut dnext = buf.drun_ends[buf.drun_pos] as usize;
-
-        let mut i = start;
-        while i < end {
-            let seg_end = inext;
-            while i < seg_end {
-                let instr = buf.buf[i];
-                let vline = instr.pc.raw() >> 6;
-                if cur_vline != Some(vline) {
-                    cur_vline = Some(vline);
-                    if iseg_probed {
-                        elided_i += 1;
-                    } else {
-                        self.probes_issued += 1;
-                        let now = clock(i - start);
-                        let tr = self
-                            .mmu
-                            .translate_instr(instr.pc, thread, now, &mut self.mem);
-                        iseg_vpn = instr.pc.raw() >> PAGE_SHIFT;
-                        iseg_pfn = tr.pfn.raw();
-                        iseg_probed = true;
-                    }
-                    // Cache warming per line transition, exactly as
-                    // `ff_step`: elided transitions share the segment's
-                    // page, so the cached PFN yields the same physical
-                    // line the per-step translation would.
-                    if *ff_warm_enabled() {
-                        let pline = CacheLine::new(
-                            iseg_pfn << (PAGE_SHIFT - 6) | (instr.pc.page_offset() >> 6),
-                        );
-                        self.mem.warm(pline, true);
-                    }
-                }
-                if let Some(mem_access) = instr.mem {
-                    if i >= dnext {
-                        if pending_d > 0 {
-                            self.mmu
-                                .note_elided_data_hits(VirtPage::new(dseg_vpn), pending_d);
-                            pending_d = 0;
-                        }
-                        dseg_probed = false;
-                        while buf.drun_ends[buf.drun_pos] as usize <= i {
-                            buf.drun_pos += 1;
-                        }
-                        dnext = buf.drun_ends[buf.drun_pos] as usize;
-                    }
-                    if dseg_probed {
-                        pending_d += 1;
-                    } else {
-                        let now = clock(i - start);
-                        let tr =
-                            self.mmu
-                                .translate_data(mem_access.addr, thread, now, &mut self.mem);
-                        dseg_vpn = mem_access.addr.raw() >> PAGE_SHIFT;
-                        dseg_pfn = tr.pfn.raw();
-                        dseg_probed = true;
-                    }
-                    if *ff_warm_enabled() {
-                        let pline = CacheLine::new(
-                            dseg_pfn << (PAGE_SHIFT - 6) | (mem_access.addr.page_offset() >> 6),
-                        );
-                        if self.ff_warm_dline != Some(pline) {
-                            self.ff_warm_dline = Some(pline);
-                            self.mem.warm(pline, false);
-                        }
-                    }
-                }
-                i += 1;
-            }
-            if elided_i > 0 {
-                self.mmu
-                    .note_elided_instr_hits(VirtPage::new(iseg_vpn), elided_i);
-                elided_i = 0;
-            }
-            self.runs_consumed += 1;
-            if i < end {
-                iseg_probed = false;
-                while buf.irun_ends[buf.irun_pos] as usize <= i {
-                    buf.irun_pos += 1;
-                }
-                inext = (buf.irun_ends[buf.irun_pos] as usize).min(end);
-            }
-        }
-        if pending_d > 0 {
-            self.mmu
-                .note_elided_data_hits(VirtPage::new(dseg_vpn), pending_d);
-        }
-        self.threads[0].cur_vline = cur_vline;
-        buf.cursor = end;
-        self.probes_elided += take as u64 - (self.probes_issued - issued0);
-
-        // Bulk clock settle: whole cycles carved off the accumulator
-        // exactly as `take` per-step advances would have, with
-        // `fetched_this_cycle` reset iff any of them advanced.
-        let total = acc0 + take as u64 * fp;
-        let adv = total >> CPI_SHIFT;
-        self.cpi_acc = total - (adv << CPI_SHIFT);
-        if adv > 0 {
-            self.fetch_cycle = fc0 + adv;
-            self.fetched_this_cycle = 0;
-            self.last_retire += adv;
-        }
-        self.retired += take as u64;
-    }
-
-    /// Executes one instruction *functionally*: the identical context
-    /// switch schedule, SMT thread choice, stream consumption order, and
-    /// instruction/data translations as [`Simulator::step`] — through the
-    /// very same MMU code paths, so every TLB/PSC/PB/walker/prefetcher
-    /// counter and state bit advances exactly as it would in a detail
-    /// step and the paper's headline iSTLB metrics stay *measured*, not
-    /// estimated. The cache hierarchy is *functionally warmed*
-    /// ([`MemoryHierarchy::warm`]): every demand line — I-fetch per line
-    /// transition, data per access — is promoted or installed MRU
-    /// through all levels without latency or statistics (full-depth and
-    /// symmetric by measurement: every cheaper variant left or worsened
-    /// the bias, see the `warm` doc). Without
-    /// it, skip stretches froze the caches and compressed every
-    /// cross-window reuse distance by the sampling ratio, which inflated
-    /// detail-window hit rates — and thus measured IPC — for working
-    /// sets straddling a capacity boundary (the SPEC suite's loops were
-    /// up to 30 % optimistic; the streaming server suite barely
-    /// noticed). The stall/served counters stay
-    /// detail-window samples that [`scale_sampled_metrics`]
-    /// extrapolates, and the ROB/retire/stall model and the I-cache
-    /// prefetcher remain skipped. (Page-walk references still reach the
-    /// hierarchy through the walker, keeping the walk-ref conservation
-    /// laws exact.) Simulated time advances by the fixed-point CPI
-    /// measured over the most recent detail window.
-    fn ff_step(&mut self) {
-        if let Some(interval) = self.system.context_switch_interval {
-            if self.retired > 0 && self.retired.is_multiple_of(interval) {
-                self.context_switch_reset();
-            }
-        }
-        let nthreads = self.workloads.len();
-        let thread_idx = if nthreads == 1 {
-            0
+        if DETAIL {
+            self.detailed += take as u64;
         } else {
-            if self.smt_left == 0 {
-                self.smt_thread += 1;
-                if self.smt_thread == nthreads {
-                    self.smt_thread = 0;
-                }
-                self.smt_left = self.system.core.smt_block;
-            }
-            self.smt_left -= 1;
-            self.smt_thread
-        };
-        let instr = {
-            let buf = &mut self.stream_bufs[thread_idx];
-            if buf.cursor == buf.buf.len() {
-                buf.buf.clear();
-                let gen_start = Instant::now();
-                self.workloads[thread_idx].fill_block(&mut buf.buf, self.fill_block);
-                self.phase
-                    .add(Phase::WorkloadGen, gen_start.elapsed().as_secs_f64());
-                buf.cursor = 0;
-                buf.runs_valid = false;
-                // Batched SoA pre-screen of the block's leading pages:
-                // pulls the TLB sets the next ~1k instructions will probe
-                // into the host cache. Read-only, so LRU/stats are
-                // untouched and the simulated outcome cannot change.
-                Self::warm_block(&self.mmu, &buf.buf);
-            }
-            let instr = buf.buf[buf.cursor];
-            buf.cursor += 1;
-            instr
-        };
-        let thread = ThreadId(thread_idx as u8);
-
-        // Front end, functionally: translation latencies are computed and
-        // discarded, every MMU side effect (TLB/PSC fills, walker and PB
-        // activity, iTLB-prefetcher training — including the walker's
-        // page-walk references into the cache hierarchy) happens exactly
-        // as in a detail step, and the demand line warms the cache
-        // hierarchy's replacement state (no latency, no statistics).
-        let warm_now = *ff_warm_enabled();
-        let vline = instr.pc.raw() >> 6;
-        if self.threads[thread_idx].cur_vline != Some(vline) {
-            self.threads[thread_idx].cur_vline = Some(vline);
-            self.probes_issued += 1;
-            let tr = self
-                .mmu
-                .translate_instr(instr.pc, thread, self.fetch_cycle, &mut self.mem);
-            if warm_now {
-                let pline = CacheLine::new(
-                    tr.pfn.raw() << (PAGE_SHIFT - 6) | (instr.pc.page_offset() >> 6),
-                );
-                self.mem.warm(pline, true);
-            }
-        } else {
-            self.probes_elided += 1;
-        }
-        if let Some(mem_access) = instr.mem {
-            let tr =
-                self.mmu
-                    .translate_data(mem_access.addr, thread, self.fetch_cycle, &mut self.mem);
-            if warm_now {
-                let pline = CacheLine::new(
-                    tr.pfn.raw() << (PAGE_SHIFT - 6) | (mem_access.addr.page_offset() >> 6),
-                );
-                if self.ff_warm_dline != Some(pline) {
-                    self.ff_warm_dline = Some(pline);
-                    self.mem.warm(pline, false);
-                }
+            // Bulk clock settle: whole cycles carved off the accumulator
+            // exactly as `take` per-instruction advances would have,
+            // with `fetched_this_cycle` reset iff any of them advanced.
+            // `fetch_cycle` and `last_retire` move together so the MMU
+            // keeps seeing monotone timestamps and the next detail window
+            // resumes from the advanced clock.
+            let total = acc0 + take as u64 * fp;
+            let adv = total >> CPI_SHIFT;
+            self.cpi_acc = total - (adv << CPI_SHIFT);
+            if adv > 0 {
+                self.fetch_cycle = fc0 + adv;
+                self.fetched_this_cycle = 0;
+                self.last_retire += adv;
             }
         }
-
-        // Time advance: whole cycles carved off the fixed-point CPI
-        // accumulator. `fetch_cycle` and `last_retire` move together so
-        // the MMU keeps seeing monotone timestamps and the next detail
-        // window resumes from the advanced clock.
-        self.cpi_acc += self.cpi_fp;
-        let adv = self.cpi_acc >> CPI_SHIFT;
-        if adv > 0 {
-            self.cpi_acc -= adv << CPI_SHIFT;
-            self.fetch_cycle += adv;
-            self.fetched_this_cycle = 0;
-            self.last_retire += adv;
-        }
-        self.retired += 1;
     }
 
     /// Batched warm-up probe over a freshly refilled instruction block:
@@ -2348,6 +1827,33 @@ mod sampling_tests {
         let m = sim.run(cfg());
         assert_eq!(m.instructions, cfg().measure_instructions);
         assert!(m.mmu.istlb_misses > 0);
+    }
+
+    fn set_schedule(detail: u64, skip: u64) {
+        let mut sim = Simulator::new(
+            SystemConfig::default(),
+            server(49),
+            Box::new(NullPrefetcher),
+        );
+        sim.set_sampling(Some(SamplingConfig { detail, skip }));
+    }
+
+    #[test]
+    #[should_panic(expected = "must both be positive")]
+    fn zero_zero_schedule_is_rejected() {
+        set_schedule(0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must both be positive")]
+    fn zero_detail_schedule_is_rejected() {
+        set_schedule(0, 6_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "must both be positive")]
+    fn zero_skip_schedule_is_rejected() {
+        set_schedule(2_000, 0);
     }
 
     #[test]
